@@ -49,7 +49,7 @@ def main() -> int:
     total = 0
     for a1, a2, a3 in product(range(1, p), repeat=3):
         closure = len(multiplicative_closure(
-            dilation_values(Equation(p, a1, a2, a3, 0)).as_tuple(), p
+            dilation_values(Equation(p, a1, a2, a3, 0)), p
         )) if not a1 == a2 == a3 else None
         for b in range(p):
             eq = Equation(p, a1, a2, a3, b)

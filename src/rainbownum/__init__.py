@@ -31,7 +31,6 @@ from .constructions import (
     z9_coloring,
 )
 from .equation import (
-    DilationValues,
     Equation,
     dilation_values,
     every_3coloring_rainbow,
@@ -87,7 +86,6 @@ __all__ = [
     "CapExceededError",
     "Coloring",
     "ConsistencyError",
-    "DilationValues",
     "Equation",
     "IntervalDecomposition",
     "ModulusMismatchError",

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from . import modring
 from .equation import Equation, Triple
@@ -127,54 +126,45 @@ class RainbowReport:
         return self.witness is None
 
 
+def rainbow_solutions(eq: Equation, labels: Sequence[int]) -> Iterator[Triple]:
+    """Ordered solutions (s1, s2, s3) of eq whose entries carry pairwise
+    distinct labels, in lexicographic order.
+
+    x3 is looked up in buckets keyed by a3*x3 mod n, so the cost is
+    O(n^2 + #solutions) for any coefficients, units or not; a pair (s1, s2)
+    with equal labels is skipped before its bucket is read.  With the
+    identity labels range(n) this lists the solutions with three distinct
+    entries.
+    """
+    n = eq.n
+    a1, a2, a3, b = eq.a1, eq.a2, eq.a3, eq.b
+    by_value: list[list[int]] = [[] for _ in range(n)]
+    for s3 in range(n):
+        by_value[a3 * s3 % n].append(s3)
+    for s1 in range(n):
+        l1 = labels[s1]
+        rest = b - a1 * s1
+        for s2 in range(n):
+            l2 = labels[s2]
+            if l1 == l2:
+                continue
+            for s3 in by_value[(rest - a2 * s2) % n]:
+                l3 = labels[s3]
+                if l3 != l1 and l3 != l2:
+                    yield (s1, s2, s3)
+
+
 def find_rainbow(coloring: Coloring, eq: Equation) -> RainbowReport:
     """Search for a solution of eq whose entries get three distinct colors.
 
-    When some coefficient is a unit, the two free coordinates are scanned
-    lexicographically (n^2 pairs) and the pivot entry is solved for; the
-    pivot is the first unit coefficient in slot order 3, 1, 2.  Without a
-    unit coefficient all n^3 ordered triples are enumerated.  The witness
-    is the first hit in scan order, hence deterministic.  Three distinct
-    colors force three distinct elements, so no distinctness filter is
-    needed beyond the color test.
+    The witness is the lexicographically first rainbow solution
+    (rainbow_solutions with the coloring as labels), hence deterministic.
     """
     if coloring.n != eq.n:
         raise ModulusMismatchError(
             f"coloring is mod {coloring.n} but equation is mod {eq.n}"
         )
-    n = eq.n
-    col = coloring.assign
-    a1, a2, a3, b = eq.a1, eq.a2, eq.a3, eq.b
-
-    pivot = None
-    for pos in (3, 1, 2):
-        if gcd(eq.coeffs[pos - 1], n) == 1:
-            pivot = pos
-            break
-    if pivot is None:
-        for s1 in range(n):
-            for s2 in range(n):
-                if col[s1] == col[s2]:
-                    continue
-                for s3 in range(n):
-                    if (a1 * s1 + a2 * s2 + a3 * s3 - b) % n == 0:
-                        if col[s3] != col[s1] and col[s3] != col[s2]:
-                            return RainbowReport((s1, s2, s3))
-        return RainbowReport(None)
-
-    ainv = modring.try_inverse(eq.coeffs[pivot - 1], n)
-    for u in range(n):
-        for v in range(n):
-            if pivot == 3:
-                t = (u, v, ainv * (b - a1 * u - a2 * v) % n)
-            elif pivot == 1:
-                t = (ainv * (b - a2 * u - a3 * v) % n, u, v)
-            else:
-                t = (u, ainv * (b - a1 * u - a3 * v) % n, v)
-            c1, c2, c3 = col[t[0]], col[t[1]], col[t[2]]
-            if c1 != c2 and c1 != c3 and c2 != c3:
-                return RainbowReport(t)
-    return RainbowReport(None)
+    return RainbowReport(next(rainbow_solutions(eq, coloring.assign), None))
 
 
 @dataclass(frozen=True)

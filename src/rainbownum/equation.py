@@ -60,24 +60,11 @@ class Equation:
         return f"{lhs} = {self.b} (mod {self.n})"
 
 
-@dataclass(frozen=True)
-class DilationValues:
+def dilation_values(eq: Equation) -> tuple[int, int, int, int, int, int]:
     """The six coefficient ratios -a_j * a_i^(-1) that govern the prime
-    3-vs-4 dichotomy through their multiplicative closure."""
-
-    d1: int
-    d2: int
-    d3: int
-    d4: int
-    d5: int
-    d6: int
-
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.d1, self.d2, self.d3, self.d4, self.d5, self.d6)
-
-
-def dilation_values(eq: Equation) -> DilationValues:
-    """d1 = -a3/a1, d2 = -a2/a1, d3 = -a1/a2, d4 = -a3/a2, d5 = -a1/a3, d6 = -a2/a3.
+    3-vs-4 dichotomy through their multiplicative closure, as the tuple
+    (d1, ..., d6) with d1 = -a3/a1, d2 = -a2/a1, d3 = -a1/a2, d4 = -a3/a2,
+    d5 = -a1/a3, d6 = -a2/a3.
 
     All three coefficients must be units (NonUnitError otherwise); intended
     for prime moduli.
@@ -86,13 +73,13 @@ def dilation_values(eq: Equation) -> DilationValues:
     i1 = modring.try_inverse(eq.a1, n)
     i2 = modring.try_inverse(eq.a2, n)
     i3 = modring.try_inverse(eq.a3, n)
-    return DilationValues(
-        d1=-eq.a3 * i1 % n,
-        d2=-eq.a2 * i1 % n,
-        d3=-eq.a1 * i2 % n,
-        d4=-eq.a3 * i2 % n,
-        d5=-eq.a1 * i3 % n,
-        d6=-eq.a2 * i3 % n,
+    return (
+        -eq.a3 * i1 % n,
+        -eq.a2 * i1 % n,
+        -eq.a1 * i2 % n,
+        -eq.a3 * i2 % n,
+        -eq.a1 * i3 % n,
+        -eq.a2 * i3 % n,
     )
 
 
@@ -125,5 +112,5 @@ def every_3coloring_rainbow(eq: Equation) -> bool:
         raise NotApplicableError(f"requires unit coefficients, got {eq.coeffs} mod {p}")
     if eq.a_sum == 0 and eq.b != 0:
         return True
-    closure = modring.multiplicative_closure(dilation_values(eq).as_tuple(), p)
+    closure = modring.multiplicative_closure(dilation_values(eq), p)
     return len(closure) == p - 1

@@ -18,13 +18,11 @@ first three assignments.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator, Sequence
 
-from . import modring
-from .coloring import Coloring, find_rainbow
+from .coloring import Coloring, find_rainbow, rainbow_solutions
 from .equation import Equation
 from .errors import CapExceededError, ConsistencyError, ModulusMismatchError
 from .formulas import PROV_BRUTE, RbResult
@@ -34,23 +32,17 @@ from .formulas import PROV_BRUTE, RbResult
 class SearchConfig:
     """Knobs for the exhaustive search.
 
-    witness_policy picks which rainbow-free coloring is reported when one
-    exists: "first-lexicographic" always returns the first hit of the
-    deterministic enumeration, independent of thread count; "any" lets
-    parallel workers race.  The rb value itself never depends on either.
+    The reported witness is the first hit of the deterministic enumeration
+    whether or not the search runs in parallel.
     """
 
     n_cap: int = 20
-    prune: bool = True
     parallel: bool = False
     threads: int | None = None
-    witness_policy: str = "first-lexicographic"
 
     def __post_init__(self):
         if self.n_cap < 2:
             raise ValueError(f"n_cap must be >= 2, got {self.n_cap}")
-        if self.witness_policy not in ("first-lexicographic", "any"):
-            raise ValueError(f"unknown witness_policy {self.witness_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -73,40 +65,10 @@ class RainbowHypergraph:
 
 
 def build_hypergraph(eq: Equation) -> RainbowHypergraph:
-    """All unordered {s1, s2, s3} with distinct entries solving eq in some order.
-
-    Same pivot strategy as find_rainbow: n^2 pair enumeration when a unit
-    coefficient exists (slots tried in order 3, 1, 2), n^3 otherwise;
-    orderings are collapsed into unordered edges.
-    """
-    n = eq.n
-    a1, a2, a3, b = eq.a1, eq.a2, eq.a3, eq.b
-    edges = set()
-    pivot = None
-    for pos in (3, 1, 2):
-        if gcd(eq.coeffs[pos - 1], n) == 1:
-            pivot = pos
-            break
-    if pivot is None:
-        for s1 in range(n):
-            for s2 in range(n):
-                for s3 in range(n):
-                    if (a1 * s1 + a2 * s2 + a3 * s3 - b) % n == 0:
-                        if s1 != s2 and s1 != s3 and s2 != s3:
-                            edges.add(tuple(sorted((s1, s2, s3))))
-    else:
-        ainv = modring.try_inverse(eq.coeffs[pivot - 1], n)
-        for u in range(n):
-            for v in range(n):
-                if pivot == 3:
-                    t = (u, v, ainv * (b - a1 * u - a2 * v) % n)
-                elif pivot == 1:
-                    t = (ainv * (b - a2 * u - a3 * v) % n, u, v)
-                else:
-                    t = (u, ainv * (b - a1 * u - a3 * v) % n, v)
-                if t[0] != t[1] and t[0] != t[2] and t[1] != t[2]:
-                    edges.add(tuple(sorted(t)))
-    return RainbowHypergraph(n, tuple(sorted(edges)))
+    """All unordered {s1, s2, s3} with distinct entries solving eq in some order:
+    the solutions from rainbow_solutions under the identity labels, sorted."""
+    edges = {tuple(sorted(t)) for t in rainbow_solutions(eq, range(eq.n))}
+    return RainbowHypergraph(eq.n, tuple(sorted(edges)))
 
 
 def iter_exact_partitions(n: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -172,32 +134,22 @@ def _pairs_by_position(n: int, edges, order: Sequence[int]):
     return tuple(tuple(p) for p in by_pos)
 
 
-def _dfs_first(n, r, by_pos, prune, prefix=()):
+def _dfs_first(n, r, by_pos, prefix=()):
     """First valid completion (colors by position) extending prefix, or None.
 
-    With prune on, a color choice is rejected as soon as it tricolors an
-    edge completed at this position; with prune off, full colorings are
-    checked only at the leaves (used by the oracle-vs-oracle tests).
+    A color choice is rejected as soon as it tricolors an edge completed at
+    this position.
     """
     colors = list(prefix) + [0] * (n - len(prefix))
     used0 = max(prefix) + 1 if prefix else 0
 
     def rec(i: int, used: int) -> bool:
         if i == n:
-            if used != r:
-                return False
-            if not prune:
-                for k in range(n):
-                    ck = colors[k]
-                    for ju, jv in by_pos[k]:
-                        cu, cv = colors[ju], colors[jv]
-                        if cu != cv and cu != ck and cv != ck:
-                            return False
-            return True
+            return used == r
         if used + (n - i) < r:
             return False
         cap = used + 1 if used < r else r
-        pairs = by_pos[i] if prune else ()
+        pairs = by_pos[i]
         for col in range(cap):
             ok = True
             for ju, jv in pairs:
@@ -214,9 +166,9 @@ def _dfs_first(n, r, by_pos, prune, prefix=()):
     return colors if rec(len(prefix), used0) else None
 
 
-def _prefixes(n, r, by_pos, prune, depth):
+def _prefixes(n, r, by_pos, depth):
     """All valid restricted-growth prefixes of the given depth, in
-    enumeration order (prune-checked, feasibility-checked)."""
+    enumeration order (edge-checked, feasibility-checked)."""
     out: list[tuple[int, ...]] = []
     colors = [0] * depth
 
@@ -227,7 +179,7 @@ def _prefixes(n, r, by_pos, prune, depth):
         if used + (n - i) < r:
             return
         cap = used + 1 if used < r else r
-        pairs = by_pos[i] if prune else ()
+        pairs = by_pos[i]
         for col in range(cap):
             ok = True
             for ju, jv in pairs:
@@ -244,32 +196,26 @@ def _prefixes(n, r, by_pos, prune, depth):
 
 
 def _search_task(args):
-    n, r, by_pos, prune, prefix = args
-    return _dfs_first(n, r, by_pos, prune, prefix)
+    n, r, by_pos, prefix = args
+    return _dfs_first(n, r, by_pos, prefix)
 
 
-def _parallel_first(n, r, by_pos, prune, policy, workers):
+def _parallel_first(n, r, by_pos, workers):
     """Split the search on restricted-growth prefixes and farm subtrees out
-    to worker processes.  Under "first-lexicographic" results are merged in
-    task order, which reproduces the sequential witness exactly."""
+    to worker processes.  Results are merged in task order, which
+    reproduces the sequential witness exactly."""
     depth = 2
-    prefixes = _prefixes(n, r, by_pos, prune, depth)
+    prefixes = _prefixes(n, r, by_pos, depth)
     while depth < n - 1 and len(prefixes) < 4 * workers:
         depth += 1
-        prefixes = _prefixes(n, r, by_pos, prune, depth)
+        prefixes = _prefixes(n, r, by_pos, depth)
     if len(prefixes) <= 1 or workers <= 1:
-        return _dfs_first(n, r, by_pos, prune)
-    tasks = [(n, r, by_pos, prune, p) for p in prefixes]
+        return _dfs_first(n, r, by_pos)
+    tasks = [(n, r, by_pos, p) for p in prefixes]
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         futures = [pool.submit(_search_task, t) for t in tasks]
-        if policy == "first-lexicographic":
-            for fut in futures:
-                res = fut.result()
-                if res is not None:
-                    return res
-            return None
-        for fut in as_completed(futures):
+        for fut in futures:
             res = fut.result()
             if res is not None:
                 return res
@@ -281,9 +227,9 @@ def _parallel_first(n, r, by_pos, prune, policy, workers):
 def _exists_prepared(n, eq, r, cfg, order, by_pos):
     workers = cfg.threads or os.cpu_count() or 1
     if cfg.parallel and workers > 1:
-        colors = _parallel_first(n, r, by_pos, cfg.prune, cfg.witness_policy, workers)
+        colors = _parallel_first(n, r, by_pos, workers)
     else:
-        colors = _dfs_first(n, r, by_pos, cfg.prune)
+        colors = _dfs_first(n, r, by_pos)
     if colors is None:
         return None
     assign = [0] * n
@@ -334,10 +280,15 @@ def rainbow_number_brute(
     coloring is rainbow-free.
 
     Attaches the rainbow-free coloring found at value - 1 colors as a
-    lower-bound certificate (when value > 3).  For n <= 8 the downward
-    closure of rainbow-freeness is verified empirically rather than
-    assumed: every r above the answer is searched too, and a hit raises
-    ConsistencyError.
+    lower-bound certificate (when value > 3).
+
+    Stopping at the first r without a rainbow-free coloring is exact
+    because the feasible r are downward closed: merging two color classes
+    of a rainbow-free exact r-coloring (r > 3) gives an exact
+    (r-1)-coloring, and a solution with three distinct merged colors
+    already had three distinct colors before the merge, so the merged
+    coloring is rainbow-free too.  Hence no r above the answer admits a
+    rainbow-free coloring either; tests check this exhaustively for n <= 8.
     """
     cfg = cfg or SearchConfig()
     order, by_pos = _prepare(n, eq, cfg)
@@ -349,11 +300,5 @@ def rainbow_number_brute(
             value = r
             break
         last = found
-    if n <= 8:
-        for r in range(value + 1, n + 1):
-            if _exists_prepared(n, eq, r, cfg, order, by_pos) is not None:
-                raise ConsistencyError(
-                    f"rainbow-free coloring exists at {r} colors but not at {value}"
-                )
     witness = last if value > 3 else None
     return RbResult(value=value, provenance=PROV_BRUTE, witness=witness)

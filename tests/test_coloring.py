@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -22,6 +23,7 @@ from rainbownum import (
     symmetric_interval_coloring,
     two_power_coloring,
 )
+from rainbownum.coloring import rainbow_solutions
 
 SYM5 = Coloring.from_classes(5, [{0}, {1, 4}, {2, 3}])
 
@@ -96,11 +98,10 @@ class TestFindRainbow:
             find_rainbow(SYM5, Equation(7, 1, 1, 1, 0))
 
     def test_no_unit_coefficient_path(self):
-        # all coefficients share a factor with n: falls back to n^3 scan
+        # all coefficients share a factor with n
         c = Coloring.from_classes(6, [{0, 3}, {1, 4}, {2, 5}])
         eq = Equation(6, 2, 2, 2, 0)
-        got = find_rainbow(c, eq)
-        assert (got.witness is None) == (cubic_find_rainbow(c, eq) is None)
+        assert find_rainbow(c, eq).witness == cubic_find_rainbow(c, eq)
 
     def test_matches_cubic_reference(self):
         rng = random.Random(1723)
@@ -117,12 +118,24 @@ class TestFindRainbow:
             )
             got = find_rainbow(c, eq)
             want = cubic_find_rainbow(c, eq)
-            assert got.rainbow_free == (want is None), (eq, c.assign)
+            assert got.witness == want, (eq, c.assign)
             if got.witness is not None:
                 s1, s2, s3 = got.witness
                 assert eq.is_solution(got.witness)
                 cols = {c.assign[s1], c.assign[s2], c.assign[s3]}
                 assert len(cols) == 3
+
+    def test_rainbow_solutions_lists_all_in_lexicographic_order(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            n = rng.randrange(2, 11)
+            labels = [rng.randrange(4) for _ in range(n)]
+            eq = Equation(n, *(rng.randrange(n) for _ in range(4)))
+            want = [
+                t for t in product(range(n), repeat=3)
+                if eq.is_solution(t) and len({labels[x] for x in t}) == 3
+            ]
+            assert list(rainbow_solutions(eq, labels)) == want, (eq, labels)
 
     @given(st.data())
     def test_rainbow_status_invariant_under_color_permutation(self, data):

@@ -67,13 +67,13 @@ class TestReduceMod:
 
 class TestDilationValues:
     def test_mixed_coefficients_mod5(self):
-        assert dilation_values(Equation(5, 1, 1, 3, 0)).as_tuple() == (2, 4, 4, 2, 3, 3)
+        assert dilation_values(Equation(5, 1, 1, 3, 0)) == (2, 4, 4, 2, 3, 3)
 
     def test_all_equal_mod7(self):
-        assert dilation_values(Equation(7, 1, 1, 1, 0)).as_tuple() == (6,) * 6
+        assert dilation_values(Equation(7, 1, 1, 1, 0)) == (6,) * 6
 
     def test_distinct_coefficients_mod5(self):
-        assert dilation_values(Equation(5, 1, 2, 3, 0)).as_tuple() == (2, 3, 2, 1, 3, 1)
+        assert dilation_values(Equation(5, 1, 2, 3, 0)) == (2, 3, 2, 1, 3, 1)
 
     def test_non_unit_coefficient_raises(self):
         with pytest.raises(NonUnitError):
@@ -87,8 +87,8 @@ class TestDilationValues:
         d = dilation_values(Equation(p, a1, a2, a3, 0))
         # each d value satisfies d * a_i = -a_j for its defining pair
         for val, ai, aj in [
-            (d.d1, a1, a3), (d.d2, a1, a2), (d.d3, a2, a1),
-            (d.d4, a2, a3), (d.d5, a3, a1), (d.d6, a3, a2),
+            (d[0], a1, a3), (d[1], a1, a2), (d[2], a2, a1),
+            (d[3], a2, a3), (d[4], a3, a1), (d[5], a3, a2),
         ]:
             assert (val * ai + aj) % p == 0
 

@@ -47,9 +47,12 @@ class TestHypergraph:
 
     def test_matches_cubic_enumeration(self):
         rng = random.Random(99)
+        eqs = [Equation(n, *t) for n in range(2, 8) for t in product(range(n), repeat=4)]
         for _ in range(40):
             n = rng.randrange(3, 11)
-            eq = Equation(n, rng.randrange(n), rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            eqs.append(Equation(n, rng.randrange(n), rng.randrange(n), rng.randrange(n), rng.randrange(n)))
+        for eq in eqs:
+            n = eq.n
             want = set()
             for t in product(range(n), repeat=3):
                 if eq.is_solution(t) and len(set(t)) == 3:
@@ -111,7 +114,7 @@ class TestExistsRainbowFree:
             exists_rainbow_free(5, Equation(5, 1, 1, 1, 0), 6)
 
     def test_pruned_matches_unpruned_existence(self):
-        # oracle vs oracle: pruned DFS against plain partition enumeration
+        # oracle vs oracle: pruned DFS against the unpruned partition census
         rng = random.Random(7)
         eqs = [
             Equation(3, 1, 1, 1, 0), Equation(4, 1, 3, 3, 2),
@@ -124,16 +127,12 @@ class TestExistsRainbowFree:
         for eq in eqs:
             hg = build_hypergraph(eq)
             for r in range(3, eq.n + 1):
-                pruned = exists_rainbow_free(eq.n, eq, r, SearchConfig(prune=True))
-                unpruned = exists_rainbow_free(eq.n, eq, r, SearchConfig(prune=False))
+                pruned = exists_rainbow_free(eq.n, eq, r)
                 plain = next(
                     (a for a in iter_exact_partitions(eq.n, r) if hg.is_rainbow_free(a)),
                     None,
                 )
-                assert (pruned is None) == (unpruned is None) == (plain is None), (eq, r)
-                # pruning skips only doomed subtrees, so the first hit agrees
-                if pruned is not None:
-                    assert pruned == unpruned
+                assert (pruned is None) == (plain is None), (eq, r)
 
 
 class TestRainbowNumberBrute:
@@ -167,14 +166,33 @@ class TestRainbowNumberBrute:
         assert res.witness is not None and res.witness.r == 3
 
     def test_monotonicity_verified_empirically(self):
-        # n <= 8 re-searches every r above the answer inside the oracle; a
-        # clean return is itself the check, but assert the scan once more
-        for n, coeffs in [(6, (1, 1, 1)), (7, (1, 2, 3)), (8, (1, 1, 3))]:
-            for b in range(0, n, 2):
-                eq = Equation(n, *coeffs, b)
+        """Downward closure (proved in rainbow_number_brute's docstring),
+        checked on every equation with 3 <= n <= 8.
+
+        The search sees an equation only through its solution hypergraph,
+        so each distinct hypergraph is searched once: the r admitting a
+        rainbow-free exact r-coloring must form an interval [3, rb - 1],
+        and for n <= 7 that set must equal the one found by the unpruned
+        partition census.
+        """
+        seen = set()
+        for n in range(3, 9):
+            for a1, a2, a3, b in product(range(n), repeat=4):
+                eq = Equation(n, a1, a2, a3, b)
+                hg = build_hypergraph(eq)
+                if (n, hg.edges) in seen:
+                    continue
+                seen.add((n, hg.edges))
+                feasible = [r for r in range(3, n + 1) if exists_rainbow_free(n, eq, r)]
                 value = rainbow_number_brute(n, eq).value
-                for r in range(value, n + 1):
-                    assert exists_rainbow_free(n, eq, r) is None
+                assert feasible == list(range(3, value)), eq
+                if n <= 7:
+                    census = [
+                        r for r in range(3, n + 1)
+                        if any(hg.is_rainbow_free(a) for a in iter_exact_partitions(n, r))
+                    ]
+                    assert census == feasible, eq
+        assert len(seen) == 493
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -194,21 +212,13 @@ class TestParallel:
         seq = exists_rainbow_free(11, eq, 3)
         par = exists_rainbow_free(
             11, eq, 3,
-            SearchConfig(parallel=True, threads=2, witness_policy="first-lexicographic"),
+            SearchConfig(parallel=True, threads=2),
         )
         assert par == seq
 
     def test_parallel_exhaustion_agrees(self):
         eq = Equation(11, 1, 1, 1, 0)
         assert exists_rainbow_free(11, eq, 4, SearchConfig(parallel=True, threads=2)) is None
-
-    def test_any_policy_still_sound(self):
-        eq = Equation(10, 1, 1, 1, 0)
-        c = exists_rainbow_free(
-            10, eq, 4, SearchConfig(parallel=True, threads=2, witness_policy="any")
-        )
-        assert c is not None and c.r == 4
-        assert find_rainbow(c, eq).rainbow_free
 
     def test_brute_value_deterministic_under_parallel(self):
         eq = Equation(12, 1, 1, 1, 0)
@@ -219,10 +229,6 @@ class TestParallel:
 
 
 class TestSearchConfig:
-    def test_rejects_bad_policy(self):
-        with pytest.raises(ValueError):
-            SearchConfig(witness_policy="fastest")
-
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             SearchConfig(n_cap=1)
