@@ -8,11 +8,16 @@ exactly r blocks, encoded as restricted-growth strings, instead of labeled
 colorings (an r!-fold saving).
 
 Elements are assigned in a deterministic greedy order that completes
-hypergraph edges as early as possible, and a branch dies the moment a
-completed edge is tricolored.  The ordering is what makes exhaustion
-feasible: under the natural 0..n-1 order the first zero-sum edge closes
-near the end of the string, while the greedy order closes one within the
-first three assignments.
+hypergraph edges as early as possible.  The search looks ahead by forward
+checking (Haralick & Elliott, "Increasing tree search efficiency for
+constraint satisfaction problems", AI 1980): every unassigned element keeps
+the set of colors it may still take, and once two elements of an edge hold
+different colors, the third may only repeat one of them.  A branch dies as
+soon as some element has no color left, or when the colors in use plus the
+unassigned elements that may still take any color fall short of r: an
+element narrowed to the colors of an edge can never open a new color.
+Both cuts only drop subtrees without a solution, so the first coloring
+found is the one a plain enumeration in the same order would find.
 """
 
 from __future__ import annotations
@@ -100,26 +105,30 @@ def iter_exact_partitions(n: int, r: int) -> Iterator[tuple[int, ...]]:
 def _element_order(n: int, edges) -> list[int]:
     """Greedy assignment order: repeatedly pick the element that completes
     the most edges inside the prefix (ties: higher degree, then smaller
-    value).  Deterministic."""
-    incident: list[list] = [[] for _ in range(n)]
-    for e in edges:
-        for x in e:
-            incident[x].append(e)
+    value).  Deterministic.
+
+    ``completed[y]`` counts the edges of y whose other two elements are in
+    the prefix; it grows only when the second of those two joins, so each
+    step updates it along the edges of the element just placed.
+    """
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        incident[u].append((v, w))
+        incident[v].append((u, w))
+        incident[w].append((u, v))
+    degree = [len(others) for others in incident]
+    completed = [0] * n
+    left = set(range(n))
     order: list[int] = []
-    in_prefix = [False] * n
     for _ in range(n):
-        best, best_key = -1, None
-        for x in range(n):
-            if in_prefix[x]:
-                continue
-            completed = sum(
-                all(y == x or in_prefix[y] for y in e) for e in incident[x]
-            )
-            key = (completed, len(incident[x]), -x)
-            if best_key is None or key > best_key:
-                best, best_key = x, key
+        best = max(left, key=lambda x: (completed[x], degree[x], -x))
+        left.remove(best)
         order.append(best)
-        in_prefix[best] = True
+        for y, z in incident[best]:
+            if y in left and z not in left:
+                completed[y] += 1
+            elif z in left and y not in left:
+                completed[z] += 1
     return order
 
 
@@ -137,33 +146,74 @@ def _pairs_by_position(n: int, edges, order: Sequence[int]):
 def _dfs_first(n, r, by_pos, prefix=()):
     """First valid completion (colors by position) extending prefix, or None.
 
-    A color choice is rejected as soon as it tricolors an edge completed at
-    this position.
+    Forward checking over the restricted-growth enumeration.  ``mask[k]``
+    holds the colors position k may still take (-1: any).  When position i
+    takes color c, each edge {p, i, k} with p before i and k after it whose
+    color(p) != c narrows k to {color(p), c}; an empty mask kills the
+    branch, and the trail undoes the narrowing on backtrack.  A narrowed
+    position can only repeat a color, so a child is not entered when
+    ``used`` plus ``free``, the unassigned positions whose mask is still
+    full, falls short of r.  Edges inside the prefix are not checked: the
+    prefix is taken as valid.
     """
-    colors = list(prefix) + [0] * (n - len(prefix))
-    used0 = max(prefix) + 1 if prefix else 0
+    start = len(prefix)
+    colors = list(prefix) + [0] * (n - start)
+    # ahead[i]: (p, k) for each edge whose positions in order are p < i < k
+    ahead: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, pairs in enumerate(by_pos):
+        for p, i in pairs:
+            ahead[i].append((p, k))
+    mask = [-1] * n
+    for i in range(start):
+        for p, k in ahead[i]:
+            if k >= start and colors[p] != colors[i]:
+                mask[k] &= (1 << colors[p]) | (1 << colors[i])
+    if not all(mask[start:]):
+        return None
+    trail: list[tuple[int, int]] = []
 
-    def rec(i: int, used: int) -> bool:
+    def rec(i: int, used: int, free: int) -> bool:
         if i == n:
-            return used == r
-        if used + (n - i) < r:
-            return False
+            return True
+        m = mask[i]
+        if m == -1:
+            free -= 1
         cap = used + 1 if used < r else r
-        pairs = by_pos[i]
         for col in range(cap):
-            ok = True
-            for ju, jv in pairs:
-                cu, cv = colors[ju], colors[jv]
-                if cu != cv and cu != col and cv != col:
-                    ok = False
-                    break
-            if ok:
-                colors[i] = col
-                if rec(i + 1, used + 1 if col == used else used):
+            if not m >> col & 1:
+                continue
+            colors[i] = col
+            mark = len(trail)
+            left = free
+            bit = 1 << col
+            for p, k in ahead[i]:
+                cp = colors[p]
+                if cp == col:
+                    continue
+                old = mask[k]
+                new = old & ((1 << cp) | bit)
+                if new != old:
+                    trail.append((k, old))
+                    mask[k] = new
+                    if old == -1:
+                        left -= 1
+                    if not new:
+                        break
+            else:
+                grown = used + 1 if col == used else used
+                if grown + left >= r and rec(i + 1, grown, left):
                     return True
+            while len(trail) > mark:
+                k, old = trail.pop()
+                mask[k] = old
         return False
 
-    return colors if rec(len(prefix), used0) else None
+    used0 = max(prefix) + 1 if prefix else 0
+    free0 = mask[start:].count(-1)
+    try:
+        return colors if used0 + free0 >= r and rec(start, used0, free0) else None
+    finally:
+        rec = None  # rec refers to itself; drop the cycle so no garbage is left
 
 
 def _prefixes(n, r, by_pos, depth):

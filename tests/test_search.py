@@ -1,7 +1,9 @@
+import gc
 import random
 from itertools import product
 
 import pytest
+import reference_search
 
 from rainbownum import (
     CapExceededError,
@@ -14,6 +16,32 @@ from rainbownum import (
     iter_exact_partitions,
     rainbow_number_brute,
 )
+from rainbownum.search import _dfs_first, _element_order, _pairs_by_position, _prefixes
+
+
+def prepared(eq):
+    """(n, by_pos) as the oracle prepares them for eq."""
+    n, edges = eq.n, build_hypergraph(eq).edges
+    return n, _pairs_by_position(n, edges, _element_order(n, edges))
+
+
+def distinct_hypergraphs(max_n):
+    """One equation per distinct (n, edge set), for every 2 <= n <= max_n."""
+    seen = {}
+    for n in range(2, max_n + 1):
+        for t in product(range(n), repeat=4):
+            eq = Equation(n, *t)
+            seen.setdefault((n, build_hypergraph(eq).edges), eq)
+    return list(seen.values())
+
+
+def random_equations(seed, count, n_min, n_max):
+    rng = random.Random(seed)
+    eqs = []
+    for _ in range(count):
+        n = rng.randrange(n_min, n_max + 1)
+        eqs.append(Equation(n, *(rng.randrange(n) for _ in range(4))))
+    return eqs
 
 
 def stirling2(n, r):
@@ -204,6 +232,61 @@ class TestRainbowNumberBrute:
             base = rainbow_number_brute(n, eq).value
             for k in range(n):
                 assert rainbow_number_brute(n, eq.shift_b(k)).value == base
+
+
+class TestElementOrder:
+    """The incremental order against the plain one that recounts every
+    candidate's completed edges at every step."""
+
+    def test_matches_reference_small(self):
+        for eq in distinct_hypergraphs(9):
+            edges = build_hypergraph(eq).edges
+            assert _element_order(eq.n, edges) == reference_search.element_order(eq.n, edges), eq
+
+    def test_matches_reference_random(self):
+        for eq in random_equations(41, 60, 10, 40):
+            edges = build_hypergraph(eq).edges
+            assert _element_order(eq.n, edges) == reference_search.element_order(eq.n, edges), eq
+
+
+class TestForwardChecking:
+    """The forward-checking DFS returns the plain DFS's first coloring."""
+
+    def test_every_small_hypergraph_every_r(self):
+        for eq in distinct_hypergraphs(8):
+            n, by_pos = prepared(eq)
+            for r in range(1, n + 1):
+                assert _dfs_first(n, r, by_pos) == reference_search.dfs_first(n, r, by_pos), (eq, r)
+
+    def test_random_equations(self):
+        for eq in random_equations(12, 60, 9, 14):
+            n, by_pos = prepared(eq)
+            for r in range(3, n + 1):
+                want = reference_search.dfs_first(n, r, by_pos)
+                assert _dfs_first(n, r, by_pos) == want, (eq, r)
+                if want is None:
+                    break  # downward closure: no larger r has a coloring
+
+    @pytest.mark.parametrize("n, coeffs", [(9, (1, 1, 1)), (12, (1, 1, 1)), (10, (1, 1, -2))])
+    def test_every_prefix(self, n, coeffs):
+        # the parallel search starts _dfs_first from these prefixes; the
+        # positions they fix must not count as able to open a color
+        n, by_pos = prepared(Equation(n, *coeffs, 0))
+        for r in range(3, n + 1):
+            for depth in (2, 3, 4):
+                for prefix in _prefixes(n, r, by_pos, depth):
+                    want = reference_search.dfs_first(n, r, by_pos, prefix)
+                    assert _dfs_first(n, r, by_pos, prefix) == want, (r, prefix)
+
+    def test_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            rainbow_number_brute(12, Equation(12, 1, 1, 1, 0))
+            exists_rainbow_free(11, Equation(11, 1, 1, 1, 0), 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestParallel:
