@@ -8,11 +8,15 @@ exactly r blocks, encoded as restricted-growth strings, instead of labeled
 colorings (an r!-fold saving).
 
 Elements are assigned in a deterministic greedy order that completes
-hypergraph edges as early as possible.  The search looks ahead by forward
-checking (Haralick & Elliott, "Increasing tree search efficiency for
-constraint satisfaction problems", AI 1980): every unassigned element keeps
-the set of colors it may still take, and once two elements of an edge hold
-different colors, the third may only repeat one of them.  A branch dies as
+hypergraph edges as early as possible: under the natural 0..n-1 order the
+first zero-sum edge closes near the end of the string, while the greedy
+order closes one within the first three assignments.
+
+The search looks ahead by forward checking (Haralick & Elliott,
+"Increasing tree search efficiency for constraint satisfaction problems",
+AI 1980): every unassigned element keeps the set of colors it may still
+take, and once two elements of an edge hold different colors, the third
+may only repeat one of them.  A branch dies as
 soon as some element has no color left, or when the colors in use plus the
 unassigned elements that may still take any color fall short of r: an
 element narrowed to the colors of an edge can never open a new color.
