@@ -79,11 +79,14 @@ def _parse_coeffs(text: str) -> tuple[int, int, int]:
 
 def _config(args) -> SearchConfig:
     threads = getattr(args, "threads", 1)
-    return SearchConfig(
-        n_cap=getattr(args, "n_cap", 20),
-        parallel=threads > 1,
-        threads=threads,
-    )
+    try:
+        return SearchConfig(
+            n_cap=getattr(args, "n_cap", 20),
+            parallel=threads > 1,
+            threads=threads,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _equation(args, n: int) -> Equation:

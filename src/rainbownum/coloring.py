@@ -1,4 +1,10 @@
-"""Exact colorings of Z_n, rainbow detection, palettes, and projections."""
+"""Exact colorings of Z_n, rainbow detection, palettes, and projections.
+
+Rainbow detection (find_rainbow) tests one row s1 at a time on bitsets held
+in Python ints: O(n*r) operations on n-bit ints for an r-coloring of Z_n,
+plus an O(n) scan of the row that holds the witness.  rainbow_solutions
+lists solutions in O(n^2 + #solutions) and backs the search's hypergraph.
+"""
 
 from __future__ import annotations
 
@@ -126,9 +132,11 @@ class RainbowReport:
         return self.witness is None
 
 
-def rainbow_solutions(eq: Equation, labels: Sequence[int]) -> Iterator[Triple]:
+def rainbow_solutions(
+    eq: Equation, labels: Sequence[int], start: int = 0
+) -> Iterator[Triple]:
     """Ordered solutions (s1, s2, s3) of eq whose entries carry pairwise
-    distinct labels, in lexicographic order.
+    distinct labels and s1 >= start, in lexicographic order.
 
     x3 is looked up in buckets keyed by a3*x3 mod n, so the cost is
     O(n^2 + #solutions) for any coefficients, units or not; a pair (s1, s2)
@@ -141,7 +149,7 @@ def rainbow_solutions(eq: Equation, labels: Sequence[int]) -> Iterator[Triple]:
     by_value: list[list[int]] = [[] for _ in range(n)]
     for s3 in range(n):
         by_value[a3 * s3 % n].append(s3)
-    for s1 in range(n):
+    for s1 in range(start, n):
         l1 = labels[s1]
         rest = b - a1 * s1
         for s2 in range(n):
@@ -154,17 +162,74 @@ def rainbow_solutions(eq: Equation, labels: Sequence[int]) -> Iterator[Triple]:
                     yield (s1, s2, s3)
 
 
+def _first_rainbow_row(eq: Equation, labels: Sequence[int], r: int) -> int | None:
+    """The least s1 that starts a rainbow solution under labels 0..r-1, or
+    None; the proof is in find_rainbow."""
+    n = eq.n
+    a1, a2, a3, b = eq.a1, eq.a2, eq.a3, eq.b
+    full = (1 << n) - 1
+    U = [0] * r
+    W = [0] * r
+    for x, c in enumerate(labels):
+        U[c] |= 1 << (a2 * x % n)
+        W[c] |= 1 << (-a3 * x % n)
+    cov1 = cov2 = cov3 = 0
+    for u in U:
+        cov3 |= cov2 & u
+        cov2 |= cov1 & u
+        cov1 |= u
+    P = [cov3 | cov2 & ~u for u in U]
+    D = [cov2 | cov1 & ~u for u in U]
+    # W doubled, so that a right shift by n - t rotates it left by t
+    by_color = [(c3, w | w << n, full & ~u) for c3, (u, w) in enumerate(zip(U, W))]
+    for s1 in range(n):
+        l1 = labels[s1]
+        shift = n - (b - a1 * s1) % n
+        p, d = P[l1], D[l1]
+        for c3, ww, not_u in by_color:
+            if c3 != l1 and ww >> shift & (p | d & not_u):
+                return s1
+    return None
+
+
 def find_rainbow(coloring: Coloring, eq: Equation) -> RainbowReport:
     """Search for a solution of eq whose entries get three distinct colors.
 
     The witness is the lexicographically first rainbow solution
     (rainbow_solutions with the coloring as labels), hence deterministic.
+    Its row s1 is found by a test on bitsets held in Python ints, bit v
+    standing for the value v of Z_n; rainbow_solutions then lists that row
+    alone.  This costs O(n*r) operations on n-bit ints plus an O(n) scan
+    of the witness row, where listing every row costs O(n^2).
+
+    The row test.  Let t = b - a1*s1 and l1 the color of s1.  For each
+    color c put U_c = {a2*x : color(x) = c} and W_c = {-a3*x : color(x) =
+    c}.  (s1, x2, x3) solves eq iff a2*x2 = t + (-a3*x3), so row s1 starts
+    a rainbow solution iff, for some c3 != l1, a value v lies in t + W_c3
+    and in U_c2 for some c2 outside {l1, c3}.  Let S(v) = {c : v in U_c}
+    and cov_k the values with |S(v)| >= k.  S(v) is not inside {l1, c3}
+    iff |S(v)| >= 3; or |S(v)| = 2 and S(v) != {l1, c3}, that is v is not
+    in U_l1 & U_c3; or |S(v)| = 1 and v is not in U_l1 | U_c3.  So the
+    admissible values form
+
+        X = cov3 | cov2 & ~(U_l1 & U_c3) | cov1 & ~(U_l1 | U_c3)
+          = P_l1 | D_l1 & ~U_c3,
+
+    where P_l = cov3 | cov2 & ~U_l and D_l = cov2 | cov1 & ~U_l (expand
+    ~(U_l1 & U_c3) = ~U_l1 | ~U_c3 and regroup), and row s1 holds a
+    rainbow solution iff (t + W_c3) & X != 0 for some c3 != l1.  The set
+    t + W is W rotated left by t: with WW = W | W << n, bit v of
+    WW >> (n - t) is bit (v - t) mod n of W for 0 <= v < n, and the bits
+    from n up are cleared by the & with X.
     """
     if coloring.n != eq.n:
         raise ModulusMismatchError(
             f"coloring is mod {coloring.n} but equation is mod {eq.n}"
         )
-    return RainbowReport(next(rainbow_solutions(eq, coloring.assign), None))
+    s1 = _first_rainbow_row(eq, coloring.assign, coloring.r)
+    if s1 is None:
+        return RainbowReport(None)
+    return RainbowReport(next(rainbow_solutions(eq, coloring.assign, s1)))
 
 
 @dataclass(frozen=True)

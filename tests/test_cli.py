@@ -339,3 +339,18 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_small_n_cap_is_usage_error(self, tmp_path, capsys):
+        eq = ["--coeffs", "1,1,1", "--rhs", "0"]
+        for cap in ("1", "0"):
+            commands = [
+                ["rb", "--modulus", "5", *eq],
+                ["witness", "--modulus", "5", *eq, "--num-colors", "3",
+                 "--out", str(tmp_path / "w.json")],
+                ["scan", "--modulus-min", "3", "--modulus-max", "5", *eq,
+                 "--out", str(tmp_path / "s.csv")],
+            ]
+            for argv in commands:
+                assert main([*argv, "--n-cap", cap]) == 1, argv
+                err = capsys.readouterr().err
+                assert err.startswith("usage error: n_cap must be >= 2"), argv

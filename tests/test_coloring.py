@@ -19,11 +19,13 @@ from rainbownum import (
     palette_view,
     product_coloring,
     project_palette_coloring,
+    rb_formula,
     save_coloring,
     symmetric_interval_coloring,
     two_power_coloring,
 )
 from rainbownum.coloring import rainbow_solutions
+from rainbownum.search import exists_rainbow_free
 
 SYM5 = Coloring.from_classes(5, [{0}, {1, 4}, {2, 3}])
 
@@ -171,6 +173,112 @@ class TestFindRainbow:
                 lhs = find_rainbow(c, eq.shift_b(k)).rainbow_free
                 rhs = find_rainbow(c.translate(k), eq).rainbow_free
                 assert lhs == rhs
+
+
+def first_rainbow(coloring, eq):
+    """Plain reference for find_rainbow: the first item of the enumeration."""
+    return next(rainbow_solutions(eq, coloring.assign), None)
+
+
+def coloring_with_r(rng, n, r):
+    """A random exact r-coloring of Z_n, any r in [1, n]."""
+    assign = list(range(r)) + [rng.randrange(r) for _ in range(n - r)]
+    rng.shuffle(assign)
+    return Coloring(tuple(assign))
+
+
+class TestRowKernel:
+    """find_rainbow's bitset row test against the plain enumerator."""
+
+    def test_random_equations_every_coefficient_and_r(self):
+        # for each n, every value k in [0, n) serves as a1, a2, a3 and b,
+        # and r runs through 1..n; the second coloring has one large class
+        # and single residues for the other colors, so that its first
+        # rainbow row is seldom row 0
+        rng = random.Random(1300)
+        for n in range(2, 41):
+            for k in range(n):
+                for pos in range(4):
+                    params = [rng.randrange(n) for _ in range(4)]
+                    params[pos] = k
+                    eq = Equation(n, *params)
+                    sparse = [0] * n
+                    for color, x in enumerate(rng.sample(range(n), min(n, 4) - 1)):
+                        sparse[x] = color + 1
+                    for c in (coloring_with_r(rng, n, 1 + (4 * k + pos) % n),
+                              Coloring(tuple(sparse))):
+                        assert find_rainbow(c, eq).witness == first_rainbow(c, eq), (
+                            eq, c.assign)
+
+    def test_rainbow_free_block_colorings(self):
+        # a rainbow-free coloring of Z_u lifted to Z_n along x -> x mod u
+        # stays rainbow-free, since u | n reduces each solution mod u;
+        # recoloring n - 1 then creates a rainbow in about half the cases
+        rng = random.Random(1301)
+        lifted = 0
+        for _ in range(40):
+            u = rng.randrange(5, 10)
+            base_eq = Equation(u, *(rng.randrange(u) for _ in range(4)))
+            base = exists_rainbow_free(u, base_eq, rng.randrange(3, 5))
+            if base is None:
+                continue
+            for m in range(1, 40 // u + 1):
+                n = u * m
+                eq = Equation(n, base_eq.a1, base_eq.a2 + u * rng.randrange(m),
+                              base_eq.a3, base_eq.b + u * rng.randrange(m))
+                c = Coloring(tuple(base.assign[x % u] for x in range(n)))
+                assert find_rainbow(c, eq).witness is None
+                assert first_rainbow(c, eq) is None
+                lifted += 1
+                assign = list(c.assign)
+                assign[n - 1] = (assign[n - 1] + 1) % c.r
+                if set(assign) == set(range(c.r)):
+                    c2 = Coloring(tuple(assign))
+                    assert find_rainbow(c2, eq).witness == first_rainbow(c2, eq)
+        assert lifted > 20
+
+    def test_interval_and_two_power_witnesses(self):
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            c = symmetric_interval_coloring(p)
+            for a in range(1, p):
+                eq = Equation(p, a, a, a, 0)
+                assert find_rainbow(c, eq).witness is first_rainbow(c, eq) is None
+        rng = random.Random(1302)
+        for alpha in range(2, 6):
+            n = 2 ** alpha
+            for b in range(n):
+                eq = Equation(n, *(rng.randrange(1, n + 1, 2) for _ in range(3)), b)
+                c = rb_formula(eq).witness
+                assert find_rainbow(c, eq).witness is first_rainbow(c, eq) is None
+
+    def test_only_rainbow_row_is_the_last(self):
+        c = Coloring((1, 0, 0, 0, 1, 0, 0, 2))
+        eq = Equation(8, 4, 7, 3, 6)
+        assert {t[0] for t in rainbow_solutions(eq, c.assign)} == {7}
+        assert find_rainbow(c, eq).witness == (7, 0, 6)
+
+    def test_verify_scale_witnesses(self):
+        product_eq = Equation(1616, 1071, 1071, 1071, 0)
+        two_power_eq = Equation(1024, 215, 5, 11, 435)
+        cases = [
+            (symmetric_interval_coloring(997).translate(32), Equation(997, 1, 1, 1, -96)),
+            (symmetric_interval_coloring(1009), Equation(1009, 464, 464, 464, 0)),
+            (rb_formula(two_power_eq).witness, two_power_eq),
+            (product_coloring(symmetric_interval_coloring(101),
+                              two_power_coloring(4), product_eq), product_eq),
+        ]
+        for c, eq in cases:
+            assert find_rainbow(c, eq).witness is first_rainbow(c, eq) is None
+            # swapping the colors of the middle residue and the next one of
+            # another color creates rainbow solutions (from row 435 at 997)
+            assign = list(c.assign)
+            x = eq.n // 2
+            y = next(y for y in range(x, eq.n) if assign[y] != assign[x])
+            assign[x], assign[y] = assign[y], assign[x]
+            moved = Coloring(tuple(assign))
+            witness = first_rainbow(moved, eq)
+            assert witness is not None
+            assert find_rainbow(moved, eq).witness == witness
 
 
 class TestTranslateDilate:
