@@ -78,13 +78,8 @@ def _parse_coeffs(text: str) -> tuple[int, int, int]:
 
 
 def _config(args) -> SearchConfig:
-    threads = getattr(args, "threads", 1)
     try:
-        return SearchConfig(
-            n_cap=getattr(args, "n_cap", 20),
-            parallel=threads > 1,
-            threads=threads,
-        )
+        return SearchConfig(n_cap=args.n_cap)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -349,16 +344,14 @@ def build_parser() -> _Parser:
     _add_common(rb)
     rb.add_argument("--method", choices=["formula", "brute", "both"], default="both")
     rb.add_argument("--json", action="store_true", help="one RunRecord JSON per line")
-    rb.add_argument("--n-cap", type=int, default=20)
-    rb.add_argument("--threads", type=int, default=1)
+    rb.add_argument("--n-cap", type=int, default=SearchConfig.n_cap)
     rb.set_defaults(func=cmd_rb)
 
     wit = sub.add_parser("witness", help="search for a rainbow-free exact coloring")
     _add_common(wit)
     wit.add_argument("--num-colors", type=int, required=True)
     wit.add_argument("--out", required=True)
-    wit.add_argument("--n-cap", type=int, default=20)
-    wit.add_argument("--threads", type=int, default=1)
+    wit.add_argument("--n-cap", type=int, default=SearchConfig.n_cap)
     wit.set_defaults(func=cmd_witness)
 
     chk = sub.add_parser("check-coloring", help="test a coloring file for rainbows")
@@ -385,8 +378,7 @@ def build_parser() -> _Parser:
     _add_common(scn, modulus=False)
     scn.add_argument("--method", choices=["formula", "brute", "both"], default="both")
     scn.add_argument("--out", required=True)
-    scn.add_argument("--n-cap", type=int, default=20)
-    scn.add_argument("--threads", type=int, default=1)
+    scn.add_argument("--n-cap", type=int, default=SearchConfig.n_cap)
     scn.set_defaults(func=cmd_scan)
 
     return parser

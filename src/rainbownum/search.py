@@ -26,8 +26,6 @@ found is the one a plain enumeration in the same order would find.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -41,8 +39,9 @@ from .formulas import PROV_BRUTE, RbResult
 class SearchConfig:
     """Knobs for the exhaustive search.
 
-    The reported witness is the first hit of the deterministic enumeration
-    whether or not the search runs in parallel.
+    ``n_cap`` is the largest modulus the oracle accepts.  The search is
+    sequential: ``parallel`` and ``threads`` are accepted and ignored, kept
+    only so that existing callers that pass them still construct a config.
     """
 
     n_cap: int = 20
@@ -147,8 +146,8 @@ def _pairs_by_position(n: int, edges, order: Sequence[int]):
     return tuple(tuple(p) for p in by_pos)
 
 
-def _dfs_first(n, r, by_pos, prefix=()):
-    """First valid completion (colors by position) extending prefix, or None.
+def _dfs_first(n, r, by_pos):
+    """First valid coloring (colors by position), or None.
 
     Forward checking over the restricted-growth enumeration.  ``mask[k]``
     holds the colors position k may still take (-1: any).  When position i
@@ -157,23 +156,15 @@ def _dfs_first(n, r, by_pos, prefix=()):
     branch, and the trail undoes the narrowing on backtrack.  A narrowed
     position can only repeat a color, so a child is not entered when
     ``used`` plus ``free``, the unassigned positions whose mask is still
-    full, falls short of r.  Edges inside the prefix are not checked: the
-    prefix is taken as valid.
+    full, falls short of r.
     """
-    start = len(prefix)
-    colors = list(prefix) + [0] * (n - start)
+    colors = [0] * n
     # ahead[i]: (p, k) for each edge whose positions in order are p < i < k
     ahead: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k, pairs in enumerate(by_pos):
         for p, i in pairs:
             ahead[i].append((p, k))
     mask = [-1] * n
-    for i in range(start):
-        for p, k in ahead[i]:
-            if k >= start and colors[p] != colors[i]:
-                mask[k] &= (1 << colors[p]) | (1 << colors[i])
-    if not all(mask[start:]):
-        return None
     trail: list[tuple[int, int]] = []
 
     def rec(i: int, used: int, free: int) -> bool:
@@ -212,78 +203,14 @@ def _dfs_first(n, r, by_pos, prefix=()):
                 mask[k] = old
         return False
 
-    used0 = max(prefix) + 1 if prefix else 0
-    free0 = mask[start:].count(-1)
     try:
-        return colors if used0 + free0 >= r and rec(start, used0, free0) else None
+        return colors if rec(0, 0, n) else None
     finally:
         rec = None  # rec refers to itself; drop the cycle so no garbage is left
 
 
-def _prefixes(n, r, by_pos, depth):
-    """All valid restricted-growth prefixes of the given depth, in
-    enumeration order (edge-checked, feasibility-checked)."""
-    out: list[tuple[int, ...]] = []
-    colors = [0] * depth
-
-    def rec(i: int, used: int):
-        if i == depth:
-            out.append(tuple(colors))
-            return
-        if used + (n - i) < r:
-            return
-        cap = used + 1 if used < r else r
-        pairs = by_pos[i]
-        for col in range(cap):
-            ok = True
-            for ju, jv in pairs:
-                cu, cv = colors[ju], colors[jv]
-                if cu != cv and cu != col and cv != col:
-                    ok = False
-                    break
-            if ok:
-                colors[i] = col
-                rec(i + 1, used + 1 if col == used else used)
-
-    rec(0, 0)
-    return out
-
-
-def _search_task(args):
-    n, r, by_pos, prefix = args
-    return _dfs_first(n, r, by_pos, prefix)
-
-
-def _parallel_first(n, r, by_pos, workers):
-    """Split the search on restricted-growth prefixes and farm subtrees out
-    to worker processes.  Results are merged in task order, which
-    reproduces the sequential witness exactly."""
-    depth = 2
-    prefixes = _prefixes(n, r, by_pos, depth)
-    while depth < n - 1 and len(prefixes) < 4 * workers:
-        depth += 1
-        prefixes = _prefixes(n, r, by_pos, depth)
-    if len(prefixes) <= 1 or workers <= 1:
-        return _dfs_first(n, r, by_pos)
-    tasks = [(n, r, by_pos, p) for p in prefixes]
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        futures = [pool.submit(_search_task, t) for t in tasks]
-        for fut in futures:
-            res = fut.result()
-            if res is not None:
-                return res
-        return None
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _exists_prepared(n, eq, r, cfg, order, by_pos):
-    workers = cfg.threads or os.cpu_count() or 1
-    if cfg.parallel and workers > 1:
-        colors = _parallel_first(n, r, by_pos, workers)
-    else:
-        colors = _dfs_first(n, r, by_pos)
+def _exists_prepared(n, eq, r, order, by_pos):
+    colors = _dfs_first(n, r, by_pos)
     if colors is None:
         return None
     assign = [0] * n
@@ -323,7 +250,7 @@ def exists_rainbow_free(
     if not 3 <= r <= n:
         raise ValueError(f"r must be in [3, {n}], got {r}")
     order, by_pos = _prepare(n, eq, cfg)
-    return _exists_prepared(n, eq, r, cfg, order, by_pos)
+    return _exists_prepared(n, eq, r, order, by_pos)
 
 
 def rainbow_number_brute(
@@ -349,7 +276,7 @@ def rainbow_number_brute(
     value = n + 1
     last = None
     for r in range(3, n + 1):
-        found = _exists_prepared(n, eq, r, cfg, order, by_pos)
+        found = _exists_prepared(n, eq, r, order, by_pos)
         if found is None:
             value = r
             break

@@ -35,15 +35,14 @@ def element_order(n, edges):
     return order
 
 
-def dfs_first(n, r, by_pos, prefix=()):
-    """First valid completion (colors by position) extending prefix, or None.
+def dfs_first(n, r, by_pos):
+    """First valid coloring (colors by position), or None.
 
     Restricted-growth enumeration; a color is rejected only when it
     tricolors an edge completed at its position, and a branch is cut only
     when fewer positions remain than colors still to open.
     """
-    colors = list(prefix) + [0] * (n - len(prefix))
-    used0 = max(prefix) + 1 if prefix else 0
+    colors = [0] * n
 
     def rec(i: int, used: int) -> bool:
         if i == n:
@@ -65,4 +64,4 @@ def dfs_first(n, r, by_pos, prefix=()):
                     return True
         return False
 
-    return colors if rec(len(prefix), used0) else None
+    return colors if rec(0, 0) else None

@@ -84,12 +84,7 @@ class TestRb:
     def test_usage_error_exits_1(self, capsys):
         assert run("rb", "--modulus", "8", "--coeffs", "1,1", "--rhs", "0") == 1
         assert run("rb", "--coeffs", "1,1,1") == 1
-
-    def test_threads_flag_runs_parallel_search(self, capsys):
-        code = run("rb", "--modulus", "11", "--coeffs", "1,1,1", "--rhs", "0",
-                   "--method", "brute", "--threads", "2")
-        assert code == 0
-        assert "rb = 4" in capsys.readouterr().out
+        assert run("rb", "--modulus", "11", "--coeffs", "1,1,1", "--threads", "2") == 1
 
     def test_both_with_uncovered_formula_skips_verdict(self, capsys):
         code = run("rb", "--modulus", "9", "--coeffs", "1,1,1", "--rhs", "0",

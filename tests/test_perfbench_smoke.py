@@ -2,8 +2,11 @@
 
 perfbench/run.py must end its stdout with one JSON result object, traced or
 not, so nothing the package does may print to stdout.  A short verify run
-(about a second per trace setting) checks that and that every answer is
-right.
+(about a second per trace setting) checks that, that every answer is right,
+and that the result carries exactly the metrics BENCHMARK.json declares:
+the per-layer ones when traced, the end-to-end ones when not.  A private
+name or option the traced run relies on that the package no longer has
+shows up here as a missing per-layer metric.
 """
 
 import json
@@ -33,4 +36,6 @@ def test_verify_run_ends_with_a_json_result(trace):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
-    assert result["metrics"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    kind = "per_layer" if trace == "1" else "end_to_end"
+    assert set(result["metrics"]) == {m["name"] for m in declared[kind]}
