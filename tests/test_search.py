@@ -282,16 +282,34 @@ class TestForwardChecking:
             gc.enable()
 
 
+class TestParallel:
+    # SearchConfig keeps parallel and threads as accepted-and-ignored
+    # fields; a config that sets them must give the default's answers
+    def test_parallel_matches_sequential_value_and_witness(self):
+        eq = Equation(11, 1, 1, 1, 0)
+        seq = exists_rainbow_free(11, eq, 3)
+        par = exists_rainbow_free(
+            11, eq, 3,
+            SearchConfig(parallel=True, threads=2),
+        )
+        assert par == seq
+
+    def test_parallel_exhaustion_agrees(self):
+        eq = Equation(11, 1, 1, 1, 0)
+        assert exists_rainbow_free(11, eq, 4, SearchConfig(parallel=True, threads=2)) is None
+
+    def test_brute_value_deterministic_under_parallel(self):
+        eq = Equation(12, 1, 1, 1, 0)
+        seq = rainbow_number_brute(12, eq)
+        par = rainbow_number_brute(12, eq, SearchConfig(parallel=True, threads=2))
+        assert par.value == seq.value
+        assert par.witness == seq.witness
+
+
 class TestSearchConfig:
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             SearchConfig(n_cap=1)
-
-    def test_parallel_fields_accepted_and_ignored(self):
-        cfg = SearchConfig(parallel=True, threads=2)
-        eq = Equation(12, 1, 1, 1, 0)
-        assert rainbow_number_brute(12, eq, cfg) == rainbow_number_brute(12, eq)
-        assert exists_rainbow_free(11, Equation(11, 1, 1, 1, 0), 4, cfg) is None
 
 
 def test_import_loads_no_process_machinery():
