@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -199,7 +200,7 @@ def cmd_check_coloring(args) -> int:
         print(f"RainbowFree for {eq}")
     else:
         s = report.witness
-        cols = tuple(coloring.assign[x] for x in s)
+        cols = tuple([coloring.assign[x] for x in s])
         print(f"rainbow solution {s} with colors {cols} for {eq}")
 
     if args.characterize is None:
@@ -384,8 +385,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Built on the first main call, then shared: parse_args returns a fresh
+    # Namespace each time, no default is mutable, and the cmd_* handlers
+    # look up formulas, search and the rest as module globals per call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
@@ -401,6 +410,11 @@ def main(argv=None) -> int:
     except NotCoveredError as exc:
         print(f"not covered: {exc.reason}", file=sys.stderr)
         return EXIT_NOT_COVERED
+    except OSError as exc:
+        # input files are reported where they are read; this is an --out path
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

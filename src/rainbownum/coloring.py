@@ -80,14 +80,14 @@ class Coloring:
     def translate(self, k: int) -> Coloring:
         """The coloring x -> c(x + k); exactness is preserved."""
         n = self.n
-        return Coloring(tuple(self.assign[(x + k) % n] for x in range(n)))
+        return Coloring(tuple([self.assign[(x + k) % n] for x in range(n)]))
 
     def dilate(self, d: int) -> Coloring:
         """The coloring whose classes are d*A for each class A of this one,
         i.e. x -> c(d^(-1) * x).  d must be a unit."""
         dinv = modring.try_inverse(d, self.n)
         n = self.n
-        return Coloring(tuple(self.assign[dinv * x % n] for x in range(n)))
+        return Coloring(tuple([self.assign[dinv * x % n] for x in range(n)]))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "colors": list(self.assign)}
@@ -276,4 +276,4 @@ def project_palette_coloring(coloring: Coloring, u: int, j: int) -> Coloring:
     kept = sorted({c for c in raw if c is not None})
     remap = {c: k for k, c in enumerate(kept)}
     yellow = len(kept)
-    return Coloring(tuple(yellow if c is None else remap[c] for c in raw))
+    return Coloring(tuple([yellow if c is None else remap[c] for c in raw]))

@@ -79,7 +79,7 @@ def product_coloring(cp: Coloring, ct: Coloring, eq: Equation) -> Coloring:
         raise BadWitnessError("cp must color 0 in a class of its own")
     if cp.assign[0] != 0:
         swap = {cp.assign[0]: 0, 0: cp.assign[0]}
-        cp = Coloring(tuple(swap.get(c, c) for c in cp.assign))
+        cp = Coloring(tuple([swap.get(c, c) for c in cp.assign]))
     _verify(cp, eq.reduce_mod(p), BadWitnessError, "cp")
     _verify(ct, eq.reduce_mod(t), BadWitnessError, "ct")
 
@@ -94,7 +94,7 @@ def product_coloring(cp: Coloring, ct: Coloring, eq: Equation) -> Coloring:
             raw.append(rp - 1 + ct.assign[x // p])
     kept = sorted(set(raw))
     remap = {c: k for k, c in enumerate(kept)}
-    combined = Coloring(tuple(remap[c] for c in raw))
+    combined = Coloring(tuple([remap[c] for c in raw]))
     if combined.r != rp + ct.r - 1:
         raise BadWitnessError(
             f"combined coloring has {combined.r} colors, expected {rp + ct.r - 1}; "

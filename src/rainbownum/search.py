@@ -143,7 +143,7 @@ def _pairs_by_position(n: int, edges, order: Sequence[int]):
     for e in edges:
         ps = sorted(pos[x] for x in e)
         by_pos[ps[2]].append((ps[0], ps[1]))
-    return tuple(tuple(p) for p in by_pos)
+    return tuple([tuple(p) for p in by_pos])
 
 
 def _dfs_first(n, r, by_pos):
@@ -220,7 +220,7 @@ def _exists_prepared(n, eq, r, order, by_pos):
     for c in assign:
         if c not in relabel:
             relabel[c] = len(relabel)
-    witness = Coloring(tuple(relabel[c] for c in assign))
+    witness = Coloring(tuple([relabel[c] for c in assign]))
     if witness.r != r:
         raise ConsistencyError(f"search produced {witness.r} colors instead of {r}")
     if not find_rainbow(witness, eq).rainbow_free:

@@ -349,3 +349,58 @@ class TestTopLevel:
                 assert main([*argv, "--n-cap", cap]) == 1, argv
                 err = capsys.readouterr().err
                 assert err.startswith("usage error: n_cap must be >= 2"), argv
+
+
+class TestUnwritableOut:
+    def check(self, capsys, argv, path):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: "), err
+        assert "Traceback" not in err
+
+    def test_scan(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        self.check(capsys, ["scan", "--modulus-min", "3", "--modulus-max", "5",
+                            "--coeffs", "1,1,1", "--out", str(path)], path)
+
+    def test_witness(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "w.json"
+        self.check(capsys, ["witness", "--modulus", "5", "--coeffs", "1,1,1",
+                            "--num-colors", "3", "--out", str(path)], path)
+
+    def test_construct(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "c.json"
+        self.check(capsys, ["construct", "--kind", "two-power", "--alpha", "2",
+                            "--out", str(path)], path)
+
+
+class TestParserReuse:
+    """main keeps one parser per process; no call may leave state for the next."""
+
+    RB = ["rb", "--modulus", "12", "--coeffs", "1,1,1", "--method", "brute"]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli_module.build_parser() is not cli_module.build_parser()
+
+    def test_json_does_not_stick(self, capsys):
+        assert main([*self.RB, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["rb_value"] == 5
+        assert main(self.RB) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("rb(Z_12, ") and "brute:   rb = 5" in out
+
+    def test_n_cap_does_not_stick(self, capsys):
+        assert main([*self.RB, "--n-cap", "5"]) == 3
+        assert main(self.RB) == 0
+        assert "rb = 5" in capsys.readouterr().out
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert main(["rb", "--modulus", "8", "--coeffs", "1,1"]) == 1
+        assert main(self.RB) == 0
+        assert "rb = 5" in capsys.readouterr().out
+
+    def test_help_then_valid_call(self, capsys):
+        assert main([]) == 1
+        assert "rainbownum" in capsys.readouterr().out
+        assert main(self.RB) == 0
+        assert "rb = 5" in capsys.readouterr().out

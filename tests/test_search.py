@@ -1,5 +1,7 @@
+import ast
 import gc
 import random
+import re
 import subprocess
 import sys
 from itertools import product
@@ -324,3 +326,48 @@ def test_import_loads_no_process_machinery():
     done = subprocess.run([sys.executable, "-c", code, src],
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_no_tuple_of_generator_in_package():
+    """tuple(<generator>) allocates 10 slots and reallocs to the real length n;
+    freed, that tuple joins the length-n free list instead of the length-10
+    one it came from, so every call moves memory onto lists that pin pymalloc
+    pools (see test_oracle_keeps_tuple_free_lists_small).  Build the list
+    first: tuple([...]) allocates the exact length."""
+    package = Path(rainbownum.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "tuple" and len(node.args) == 1
+                    and not node.keywords
+                    and isinstance(node.args[0], ast.GeneratorExp)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_oracle_keeps_tuple_free_lists_small():
+    # 3,600 oracle calls on scan-sized equations, then the interpreter's count
+    # of free tuples of lengths 2-19.  When the search built its per-position
+    # pair tuples and its witness with tuple(<generator>), the count grew by
+    # about 1.5 per call to some 6,000 here; with exact-length tuples it stays
+    # near the 900 the interpreter starts with.
+    src = str(Path(rainbownum.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from rainbownum import Equation, rainbow_number_brute\n"
+        "shapes = [(1, 1, 1), (1, 1, -2), (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 3, 6)]\n"
+        "for _ in range(20):\n"
+        "    for n in range(2, 17):\n"
+        "        for a in shapes:\n"
+        "            for b in (0, 1):\n"
+        "                rainbow_number_brute(n, Equation(n, *a, b))\n"
+        "sys._debugmallocstats()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    free = {int(size): int(count) for count, size in re.findall(
+        r"^\s*(\d+) free (\d+)-sized PyTupleObjects", done.stderr, re.M)}
+    if not free:
+        pytest.skip("this interpreter does not report tuple free lists")
+    assert sum(free.get(size, 0) for size in range(2, 20)) < 2000, free
