@@ -329,11 +329,11 @@ def test_import_loads_no_process_machinery():
 
 
 def test_no_tuple_of_generator_in_package():
-    """tuple(<generator>) allocates 10 slots and reallocs to the real length n;
-    freed, that tuple joins the length-n free list instead of the length-10
-    one it came from, so every call moves memory onto lists that pin pymalloc
-    pools (see test_oracle_keeps_tuple_free_lists_small).  Build the list
-    first: tuple([...]) allocates the exact length."""
+    """tuple(<generator>) allocates a guessed length (10) and reallocs to the
+    real length n; freed, that tuple joins the length-n free list, not the
+    list it was taken from, so every call moves memory onto lists that pin
+    pymalloc pools (see test_oracle_keeps_tuple_free_lists_small).  Build the
+    list first: tuple([...]) allocates the exact length."""
     package = Path(rainbownum.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
