@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Time the exhaustive oracle on a set of equation shapes over one Z_n.
+
+For each shape a1,a2,a3,b it asks `exists_rainbow_free` for r = 3, 4, ...
+until no rainbow-free exact r-coloring exists, and prints rb, the total
+time, and SAT/UNSAT with the time of each r.  The last line names the
+slowest shape.  Stopping at the first UNSAT r is exact by downward closure
+(see `rainbow_number_brute`); every coloring found is re-verified by the
+library.  Each r rebuilds the solution hypergraph, a few milliseconds at
+n = 48, so the totals run slightly above those of `rainbow_number_brute`.
+
+The default shapes are those of the benchmark's `scan` workload; they
+include 1,1,1, 1,1,-2, 1,2,4 and 1,2,3 with b = 0.
+
+Usage:
+    python scripts/oracle_range.py --modulus 40
+    python scripts/oracle_range.py --modulus 48 --shape 1,1,1,0
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+
+from rainbownum import Equation, SearchConfig, exists_rainbow_free
+
+SHAPES = [
+    (1, 1, 1, 0), (1, 1, 1, 1), (1, 1, -2, 0), (1, 1, -2, 1), (1, 2, 4, 0),
+    (1, 2, 3, 0), (1, 2, 3, 5), (1, -1, 0, 0), (1, 1, 0, 1), (2, 2, 2, 0),
+    (2, 2, 2, 1), (2, 4, 6, 0), (3, 3, 3, 0), (3, 6, 9, 3), (6, 6, 6, 0),
+    (2, 3, 5, 0), (1, 3, 9, 0), (2, -2, 4, 0), (1, 5, -6, 2), (3, 5, 7, 1),
+    (4, 4, -8, 0), (1, 1, 2, 0), (0, 2, 4, 0), (6, 10, 15, 1),
+]
+
+
+def shape(text: str) -> tuple[int, int, int, int]:
+    parts = [int(x) for x in text.split(",")]
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"expected a1,a2,a3,b, got {text!r}")
+    return parts[0], parts[1], parts[2], parts[3]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--modulus", type=int, required=True, help="n of Z_n")
+    parser.add_argument("--shape", type=shape, action="append",
+                        help="a1,a2,a3,b (repeatable; default: the scan shapes)")
+    args = parser.parse_args()
+    n = args.modulus
+    cfg = SearchConfig(n_cap=n)
+    worst = None
+    for a1, a2, a3, b in args.shape or SHAPES:
+        eq = Equation(n, a1, a2, a3, b)
+        steps = []
+        rb = n + 1
+        for r in range(3, n + 1):
+            t0 = time.perf_counter()
+            found = exists_rainbow_free(n, eq, r, cfg)
+            steps.append((r, found is not None, time.perf_counter() - t0))
+            if found is None:
+                rb = r
+                break
+        total = sum(t for _, _, t in steps)
+        detail = " ".join(f"r{r}:{'SAT' if sat else 'UNSAT'} {t:.2f}s"
+                          for r, sat, t in steps)
+        label = f"{a1},{a2},{a3} b={b}"
+        print(f"{label:<16} rb = {rb:<3} total {total:7.2f} s   {detail}", flush=True)
+        if worst is None or total > worst[1]:
+            worst = (label, total)
+    if worst is not None:
+        print(f"slowest at n = {n}: {worst[0]} in {worst[1]:.2f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

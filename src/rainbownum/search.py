@@ -20,7 +20,20 @@ may only repeat one of them.  A branch dies as
 soon as some element has no color left, or when the colors in use plus the
 unassigned elements that may still take any color fall short of r: an
 element narrowed to the colors of an edge can never open a new color.
-Both cuts only drop subtrees without a solution, so the first coloring
+
+On top of that the search applies an opening bound, a count argument over
+all the colors still to open.  Pick one element from each class of a
+rainbow-free completion whose color is not open yet.  These representatives
+still admit any color, and no two of them lie on an edge whose third
+element is already assigned: that element holds an open color, so the edge
+would be rainbow.  A branch therefore dies unless the elements that may
+still take any color hold an independent set, as large as the number of
+colors still to open, in the graph joining the two unassigned elements of
+every edge with one assigned element.  The order is fixed before the
+search, so which edges have exactly one assigned element depends only on
+the depth, never on the colors: the graph is built once per depth.
+
+All cuts only drop subtrees without a solution, so the first coloring
 found is the one a plain enumeration in the same order would find.
 """
 
@@ -39,12 +52,14 @@ from .formulas import PROV_BRUTE, RbResult
 class SearchConfig:
     """Knobs for the exhaustive search.
 
-    ``n_cap`` is the largest modulus the oracle accepts.  The search is
-    sequential: ``parallel`` and ``threads`` are accepted and ignored, kept
-    only so that existing callers that pass them still construct a config.
+    ``n_cap`` is the largest modulus the oracle accepts.  At the default 40
+    the slowest shape of ``scripts/oracle_range.py`` takes under 4 s
+    (2-core VM, Python 3.11.7).  The search is sequential: ``parallel`` and
+    ``threads`` are accepted and ignored, kept only so that existing callers
+    that pass them still construct a config.
     """
 
-    n_cap: int = 20
+    n_cap: int = 40
     parallel: bool = False
     threads: int | None = None
 
@@ -146,6 +161,28 @@ def _pairs_by_position(n: int, edges, order: Sequence[int]):
     return tuple([tuple(p) for p in by_pos])
 
 
+def _independent(cand: int, adj: Sequence[int], need: int) -> bool:
+    """Whether the positions in bitset ``cand`` hold ``need`` pairwise
+    non-adjacent ones, ``adj[j]`` being the bitset of j's neighbors above j.
+
+    Exact branching on the lowest candidate: take it (greedy, so a greedy
+    success returns after ``need`` steps) or, if it has a neighbor left,
+    drop it.  Every other candidate lies above it, so its neighbors above
+    it are all the branch needs.  A branch with fewer candidates than
+    ``need`` is cut.
+    """
+    if need <= 0:
+        return True
+    if cand.bit_count() < need:
+        return False
+    low = cand & -cand
+    rest = cand ^ low
+    nbrs = adj[low.bit_length() - 1]
+    if _independent(rest & ~nbrs, adj, need - 1):
+        return True
+    return rest & nbrs != 0 and _independent(rest, adj, need)
+
+
 def _dfs_first(n, r, by_pos):
     """First valid coloring (colors by position), or None.
 
@@ -153,33 +190,61 @@ def _dfs_first(n, r, by_pos):
     holds the colors position k may still take (-1: any).  When position i
     takes color c, each edge {p, i, k} with p before i and k after it whose
     color(p) != c narrows k to {color(p), c}; an empty mask kills the
-    branch, and the trail undoes the narrowing on backtrack.  A narrowed
-    position can only repeat a color, so a child is not entered when
-    ``used`` plus ``free``, the unassigned positions whose mask is still
-    full, falls short of r.
+    branch, and the trail undoes the narrowing on backtrack.  ``full`` is
+    the bitset of unassigned positions whose mask is still -1.  A narrowed
+    position can only repeat a color, so a child is not entered when fewer
+    than ``need`` = r - (colors in use) positions are in ``full``.
+
+    The opening bound.  Take a rainbow-free completion and one position
+    from each of the ``need`` classes whose color is not open yet.  Each
+    representative is in ``full``, since a narrowed mask holds only open
+    colors.  No two of them, j and k, lie on an edge {p, j, k} with p
+    assigned: p's color is open, so that edge would be rainbow.  Hence a
+    child with positions 0..i assigned is entered only when ``full`` holds
+    ``need`` positions that are pairwise non-adjacent in the pair graph
+    ``adjs[i]``, which joins j and k for every edge p < j < k with p <= i.
+    The order is fixed before the search, so that graph depends on i alone,
+    not on any color: it is built once per depth and needs no trail.
+    ``need`` = 1 is the count test above, so ``_independent`` runs only for
+    ``need`` >= 2.  Like the other cuts, the bound drops only subtrees
+    without a solution, and the search visits the surviving ones in the
+    same order, so the first coloring found is the one a plain enumeration
+    in the same order would find.
     """
     colors = [0] * n
     # ahead[i]: (p, k) for each edge whose positions in order are p < i < k
     ahead: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # opened[p]: (j, k) for each edge whose positions in order are p < j < k
+    opened: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k, pairs in enumerate(by_pos):
         for p, i in pairs:
             ahead[i].append((p, k))
+            opened[p].append((i, k))
+    # adjs[i][j]: j's neighbors above j in the pair graph once positions
+    # 0..i are assigned
+    adj = [0] * n
+    adjs = []
+    for pairs in opened:
+        for j, k in pairs:
+            adj[j] |= 1 << k
+        adjs.append(adj[:])
     mask = [-1] * n
     trail: list[tuple[int, int]] = []
 
-    def rec(i: int, used: int, free: int) -> bool:
+    def rec(i: int, used: int, full: int) -> bool:
         if i == n:
             return True
         m = mask[i]
         if m == -1:
-            free -= 1
+            full ^= 1 << i
         cap = used + 1 if used < r else r
+        adj = adjs[i]
         for col in range(cap):
             if not m >> col & 1:
                 continue
             colors[i] = col
             mark = len(trail)
-            left = free
+            left_full = full
             bit = 1 << col
             for p, k in ahead[i]:
                 cp = colors[p]
@@ -191,12 +256,15 @@ def _dfs_first(n, r, by_pos):
                     trail.append((k, old))
                     mask[k] = new
                     if old == -1:
-                        left -= 1
+                        left_full ^= 1 << k
                     if not new:
                         break
             else:
                 grown = used + 1 if col == used else used
-                if grown + left >= r and rec(i + 1, grown, left):
+                need = r - grown
+                if (need <= left_full.bit_count()
+                        and (need < 2 or _independent(left_full, adj, need))
+                        and rec(i + 1, grown, left_full)):
                     return True
             while len(trail) > mark:
                 k, old = trail.pop()
@@ -204,7 +272,7 @@ def _dfs_first(n, r, by_pos):
         return False
 
     try:
-        return colors if rec(0, 0, n) else None
+        return colors if rec(0, 0, (1 << n) - 1) else None
     finally:
         rec = None  # rec refers to itself; drop the cycle so no garbage is left
 

@@ -1,7 +1,7 @@
 import csv
 import json
 
-from rainbownum import Coloring, save_coloring, z9_coloring
+from rainbownum import Coloring, SearchConfig, save_coloring, z9_coloring
 from rainbownum.cli import main
 from rainbownum.formulas import RbResult
 from rainbownum import cli as cli_module
@@ -66,7 +66,8 @@ class TestRb:
         assert rec["reason"]
 
     def test_cap_exceeded_exits_3(self, capsys):
-        code = run("rb", "--modulus", "30", "--coeffs", "1,1,1", "--rhs", "0",
+        n = SearchConfig().n_cap + 1
+        code = run("rb", "--modulus", str(n), "--coeffs", "1,1,1", "--rhs", "0",
                    "--method", "brute")
         assert code == 3
 

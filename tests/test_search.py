@@ -4,8 +4,9 @@ import random
 import re
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
+from types import CodeType
 
 import pytest
 import reference_search
@@ -21,8 +22,14 @@ from rainbownum import (
     find_rainbow,
     iter_exact_partitions,
     rainbow_number_brute,
+    rb_formula,
 )
-from rainbownum.search import _dfs_first, _element_order, _pairs_by_position
+from rainbownum.search import (
+    _dfs_first,
+    _element_order,
+    _independent,
+    _pairs_by_position,
+)
 
 
 def prepared(eq):
@@ -229,8 +236,9 @@ class TestRainbowNumberBrute:
         assert len(seen) == 493
 
     def test_cap(self):
+        n = SearchConfig().n_cap + 1
         with pytest.raises(CapExceededError):
-            rainbow_number_brute(21, Equation(21, 1, 1, 1, 0))
+            rainbow_number_brute(n, Equation(n, 1, 1, 1, 0))
 
     def test_shift_invariance_small(self):
         for n in (5, 6, 7):
@@ -282,6 +290,80 @@ class TestForwardChecking:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestOpeningBound:
+    """The exact independent-set test behind the opening bound, and the
+    nodes the bound saves."""
+
+    def test_independent_matches_brute_force(self):
+        rng = random.Random(16)
+        for _ in range(600):
+            size = rng.randrange(13)
+            density = rng.random()
+            adj = [0] * size  # adj[j]: j's neighbors above j
+            for j, k in combinations(range(size), 2):
+                if rng.random() < density:
+                    adj[j] |= 1 << k
+            cand = rng.getrandbits(size) if size else 0
+            members = [j for j in range(size) if cand >> j & 1]
+            for need in range(7):
+                want = any(
+                    all(not adj[j] >> k & 1 for j, k in combinations(group, 2))
+                    for group in combinations(members, need)
+                )
+                assert _independent(cand, adj, need) == want, (adj, cand, need)
+
+    def test_deep_node_gate(self):
+        # calls of the nested rec over the rb computations of the benchmark's
+        # five deep instances: 19,725 with forward checking alone, 5,718
+        # with the opening bound
+        rec = next(c for c in _dfs_first.__code__.co_consts
+                   if isinstance(c, CodeType) and c.co_name == "rec")
+        nodes = 0
+
+        def profile(frame, event, arg):
+            nonlocal nodes
+            if event == "call" and frame.f_code is rec:
+                nodes += 1
+
+        cfg = SearchConfig(n_cap=24)
+        deep = [(21, (1, 1, -2)), (20, (1, 1, -2)), (20, (1, 2, 4)),
+                (21, (1, 1, 1)), (20, (1, 1, 1))]
+        sys.setprofile(profile)
+        try:
+            values = [rainbow_number_brute(n, Equation(n, *c, 0), cfg).value
+                      for n, c in deep]
+        finally:
+            sys.setprofile(None)
+        assert values == [4, 4, 4, 5, 6]
+        assert 0 < nodes <= 8000
+
+
+class TestFrontier:
+    """The oracle at n = 32, against an independent answer, with the
+    witness re-verified."""
+
+    def check(self, eq, expected):
+        res = rainbow_number_brute(eq.n, eq, SearchConfig(n_cap=eq.n))
+        assert res.value == expected
+        assert res.witness.r == expected - 1
+        assert find_rainbow(res.witness, eq).rainbow_free
+
+    def test_zero_sum_matches_formula(self):
+        eq = Equation(32, 1, 1, 1, 0)
+        assert rb_formula(eq).value == 7
+        self.check(eq, 7)
+
+    def test_zero_coefficient_components(self):
+        # With a3 = 0 and r >= 3 colors, a solution (s1, s2, x3) has
+        # s1 + s2 = 1 and any x3, which can take a third color; so it is
+        # rainbow iff s1 and s2 differ, and a coloring is rainbow-free iff
+        # each pair {s, 1 - s} is monochromatic.  2s = 1 has no solution
+        # mod 32, so the pairs split Z_32 into kappa = 16 components, exact
+        # r-colorings with monochromatic components exist iff r <= 16, and
+        # rb = kappa + 1 = 17.
+        self.check(Equation(32, 1, 1, 0, 1), 17)
 
 
 class TestParallel:
