@@ -35,6 +35,21 @@ the depth, never on the colors: the graph is built once per depth.
 
 All cuts only drop subtrees without a solution, so the first coloring
 found is the one a plain enumeration in the same order would find.
+
+rb runs the search in two stages over one rising r, after the symmetry
+line of Crawford, Ginsberg, Luks & Roy ("Symmetry-breaking predicates for
+search problems", KR 1996).  When some c has (a1 + a2 + a3) c = 2b, the
+reflection x -> c - x maps solutions to solutions, since
+sum a_i (c - x_i) = (a1 + a2 + a3) c - b = b.  A coloring constant on its
+orbits {x, c - x} is one coloring of the orbits with as many colors, and an
+edge meeting an orbit twice holds two equal colors, so it is never
+rainbow: such colorings correspond one-to-one to the colorings of the
+quotient hypergraph, whose edges are the images of the edges meeting three
+orbits, and rainbow-freeness is the same on both sides.  The first stage
+searches the quotient at r = 3, 4, ... and every coloring it finds lifts to
+a rainbow-free exact r-coloring of Z_n.  The full search resumes at the
+quotient's first r without one: all smaller r are feasible, so by downward
+closure (proved in rainbow_number_brute) its first infeasible r is rb.
 """
 
 from __future__ import annotations
@@ -52,14 +67,14 @@ from .formulas import PROV_BRUTE, RbResult
 class SearchConfig:
     """Knobs for the exhaustive search.
 
-    ``n_cap`` is the largest modulus the oracle accepts.  At the default 40
-    the slowest shape of ``scripts/oracle_range.py`` takes under 4 s
+    ``n_cap`` is the largest modulus the oracle accepts.  At the default 48
+    the slowest shape of ``scripts/oracle_range.py`` takes under 5 s
     (2-core VM, Python 3.11.7).  The search is sequential: ``parallel`` and
     ``threads`` are accepted and ignored, kept only so that existing callers
     that pass them still construct a config.
     """
 
-    n_cap: int = 40
+    n_cap: int = 48
     parallel: bool = False
     threads: int | None = None
 
@@ -90,7 +105,15 @@ class RainbowHypergraph:
 def build_hypergraph(eq: Equation) -> RainbowHypergraph:
     """All unordered {s1, s2, s3} with distinct entries solving eq in some order:
     the solutions from rainbow_solutions under the identity labels, sorted."""
-    edges = {tuple(sorted(t)) for t in rainbow_solutions(eq, range(eq.n))}
+    edges = set()
+    for u, v, w in rainbow_solutions(eq, range(eq.n)):
+        if u > v:
+            u, v = v, u
+        if v > w:
+            v, w = w, v
+            if u > v:
+                u, v = v, u
+        edges.add((u, v, w))
     return RainbowHypergraph(eq.n, tuple(sorted(edges)))
 
 
@@ -150,14 +173,23 @@ def _element_order(n: int, edges) -> list[int]:
     return order
 
 
-def _pairs_by_position(n: int, edges, order: Sequence[int]):
-    """For each position i in the assignment order, the position pairs of
-    edges whose last element is assigned at step i."""
-    pos = {x: i for i, x in enumerate(order)}
-    by_pos: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in edges:
-        ps = sorted(pos[x] for x in e)
-        by_pos[ps[2]].append((ps[0], ps[1]))
+def _pairs_by_position(m: int, edges, pos: Sequence[int]):
+    """For each of the m positions in the assignment order, the position
+    pairs of edges whose last element is assigned at that step; ``pos[x]``
+    is element x's position.  An edge that meets a position twice is
+    dropped, and an edge whose positions repeat an earlier one's is kept
+    once (neither occurs when ``pos`` is one-to-one)."""
+    by_pos: list[dict[tuple[int, int], None]] = [{} for _ in range(m)]
+    for u, v, w in edges:
+        p, q, k = pos[u], pos[v], pos[w]
+        if p > q:
+            p, q = q, p
+        if q > k:
+            q, k = k, q
+            if p > q:
+                p, q = q, p
+        if p != q != k:
+            by_pos[k][p, q] = None
     return tuple([tuple(p) for p in by_pos])
 
 
@@ -166,10 +198,11 @@ def _independent(cand: int, adj: Sequence[int], need: int) -> bool:
     non-adjacent ones, ``adj[j]`` being the bitset of j's neighbors above j.
 
     Exact branching on the lowest candidate: take it (greedy, so a greedy
-    success returns after ``need`` steps) or, if it has a neighbor left,
+    success returns after ``need`` steps) or, if it has two neighbors left,
     drop it.  Every other candidate lies above it, so its neighbors above
-    it are all the branch needs.  A branch with fewer candidates than
-    ``need`` is cut.
+    it are all the branch needs.  With at most one neighbor u left some
+    largest independent set holds it (swap u for it), so taking it decides.
+    A branch with fewer candidates than ``need`` is cut.
     """
     if need <= 0:
         return True
@@ -177,13 +210,45 @@ def _independent(cand: int, adj: Sequence[int], need: int) -> bool:
         return False
     low = cand & -cand
     rest = cand ^ low
-    nbrs = adj[low.bit_length() - 1]
-    if _independent(rest & ~nbrs, adj, need - 1):
+    nbrs = rest & adj[low.bit_length() - 1]
+    if _independent(rest ^ nbrs, adj, need - 1):
         return True
-    return rest & nbrs != 0 and _independent(rest, adj, need)
+    return nbrs & (nbrs - 1) != 0 and _independent(rest, adj, need)
 
 
-def _dfs_first(n, r, by_pos):
+def _plan(n, by_pos):
+    """What a search over ``by_pos`` needs besides r, built once per
+    hypergraph and shared by its searches at every r.
+
+    ``ahead[i]`` holds (p, k) for each edge whose positions are p < i < k.
+    ``adjs[i][j]`` is the bitset of j's neighbors above j in the opening
+    bound's pair graph once positions 0..i are assigned, which joins j and k
+    for every edge p < j < k with p <= i.  ``seen[i]`` memoizes the
+    ``_independent`` verdicts at depth i, keyed by ``cand | need << n``
+    (``cand`` < 2**n, so the key is one-to-one).  A verdict is a function of
+    ``adjs[i]``, the candidate bitset and ``need`` alone.  The graph depends
+    only on the fixed order, and r enters only through ``need``, which is
+    part of the key, so a verdict found at one r holds at every other and
+    the memo stays valid over the whole loop over r.
+    """
+    ahead: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # opened[p]: (j, k) for each edge whose positions in order are p < j < k
+    opened: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, pairs in enumerate(by_pos):
+        for p, i in pairs:
+            ahead[i].append((p, k))
+            opened[p].append((i, k))
+    adj = [0] * n
+    adjs = []
+    for pairs in opened:
+        for j, k in pairs:
+            adj[j] |= 1 << k
+        adjs.append(adj[:])
+    seen: list[dict[int, bool]] = [{} for _ in range(n)]
+    return ahead, adjs, seen
+
+
+def _dfs_first(n, r, by_pos, plan=None):
     """First valid coloring (colors by position), or None.
 
     Forward checking over the restricted-growth enumeration.  ``mask[k]``
@@ -204,30 +269,18 @@ def _dfs_first(n, r, by_pos):
     ``need`` positions that are pairwise non-adjacent in the pair graph
     ``adjs[i]``, which joins j and k for every edge p < j < k with p <= i.
     The order is fixed before the search, so that graph depends on i alone,
-    not on any color: it is built once per depth and needs no trail.
+    not on any color: it is built once per hypergraph and needs no trail.
     ``need`` = 1 is the count test above, so ``_independent`` runs only for
     ``need`` >= 2.  Like the other cuts, the bound drops only subtrees
     without a solution, and the search visits the surviving ones in the
     same order, so the first coloring found is the one a plain enumeration
     in the same order would find.
+
+    ``plan`` is ``_plan(n, by_pos)``, built here when not given; a caller
+    searching one hypergraph at several r passes the same plan to each.
     """
+    ahead, adjs, seen = plan or _plan(n, by_pos)
     colors = [0] * n
-    # ahead[i]: (p, k) for each edge whose positions in order are p < i < k
-    ahead: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    # opened[p]: (j, k) for each edge whose positions in order are p < j < k
-    opened: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, pairs in enumerate(by_pos):
-        for p, i in pairs:
-            ahead[i].append((p, k))
-            opened[p].append((i, k))
-    # adjs[i][j]: j's neighbors above j in the pair graph once positions
-    # 0..i are assigned
-    adj = [0] * n
-    adjs = []
-    for pairs in opened:
-        for j, k in pairs:
-            adj[j] |= 1 << k
-        adjs.append(adj[:])
     mask = [-1] * n
     trail: list[tuple[int, int]] = []
 
@@ -239,6 +292,7 @@ def _dfs_first(n, r, by_pos):
             full ^= 1 << i
         cap = used + 1 if used < r else r
         adj = adjs[i]
+        verdicts = seen[i]
         for col in range(cap):
             if not m >> col & 1:
                 continue
@@ -262,9 +316,13 @@ def _dfs_first(n, r, by_pos):
             else:
                 grown = used + 1 if col == used else used
                 need = r - grown
-                if (need <= left_full.bit_count()
-                        and (need < 2 or _independent(left_full, adj, need))
-                        and rec(i + 1, grown, left_full)):
+                ok = need <= left_full.bit_count()
+                if ok and need >= 2:
+                    key = left_full | need << n
+                    ok = verdicts.get(key)
+                    if ok is None:
+                        ok = verdicts[key] = _independent(left_full, adj, need)
+                if ok and rec(i + 1, grown, left_full):
                     return True
             while len(trail) > mark:
                 k, old = trail.pop()
@@ -277,18 +335,15 @@ def _dfs_first(n, r, by_pos):
         rec = None  # rec refers to itself; drop the cycle so no garbage is left
 
 
-def _exists_prepared(n, eq, r, order, by_pos):
-    colors = _dfs_first(n, r, by_pos)
+def _exists_prepared(eq, r, pos, by_pos, plan):
+    """The first coloring the search over ``by_pos`` finds at r, lifted to
+    Z_n through ``pos`` (element -> position), relabeled in order of first
+    appearance and re-verified; None when the search finds none."""
+    colors = _dfs_first(len(by_pos), r, by_pos, plan)
     if colors is None:
         return None
-    assign = [0] * n
-    for i, x in enumerate(order):
-        assign[x] = colors[i]
     relabel: dict[int, int] = {}
-    for c in assign:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-    witness = Coloring(tuple([relabel[c] for c in assign]))
+    witness = Coloring(tuple([relabel.setdefault(colors[p], len(relabel)) for p in pos]))
     if witness.r != r:
         raise ConsistencyError(f"search produced {witness.r} colors instead of {r}")
     if not find_rainbow(witness, eq).rainbow_free:
@@ -297,13 +352,34 @@ def _exists_prepared(n, eq, r, order, by_pos):
 
 
 def _prepare(n, eq, cfg):
+    """The hypergraph's edges, the element order and its inverse."""
     if eq.n != n:
         raise ModulusMismatchError(f"n = {n} but equation is mod {eq.n}")
     if n > cfg.n_cap:
         raise CapExceededError(f"n = {n} exceeds n_cap = {cfg.n_cap}")
-    hg = build_hypergraph(eq)
-    order = _element_order(n, hg.edges)
-    return order, _pairs_by_position(n, hg.edges, order)
+    edges = build_hypergraph(eq).edges
+    order = _element_order(n, edges)
+    pos = [0] * n
+    for i, x in enumerate(order):
+        pos[x] = i
+    return edges, order, pos
+
+
+def _orbit_positions(eq, order):
+    """Element -> orbit position for the reflection x -> c - x, with c the
+    least in 0..n-1 such that (a1 + a2 + a3) c = 2b, orbits numbered in
+    order of first appearance in ``order``; None when no such c exists."""
+    n = eq.n
+    c = next((t for t in range(n) if eq.a_sum * t % n == 2 * eq.b % n), None)
+    if c is None:
+        return None
+    pos = [-1] * n
+    m = 0
+    for x in order:
+        if pos[x] < 0:
+            pos[x] = pos[(c - x) % n] = m
+            m += 1
+    return pos
 
 
 def exists_rainbow_free(
@@ -317,8 +393,8 @@ def exists_rainbow_free(
     cfg = cfg or SearchConfig()
     if not 3 <= r <= n:
         raise ValueError(f"r must be in [3, {n}], got {r}")
-    order, by_pos = _prepare(n, eq, cfg)
-    return _exists_prepared(n, eq, r, order, by_pos)
+    edges, _, pos = _prepare(n, eq, cfg)
+    return _exists_prepared(eq, r, pos, _pairs_by_position(n, edges, pos), None)
 
 
 def rainbow_number_brute(
@@ -338,16 +414,36 @@ def rainbow_number_brute(
     already had three distinct colors before the merge, so the merged
     coloring is rainbow-free too.  Hence no r above the answer admits a
     rainbow-free coloring either; tests check this exhaustively for n <= 8.
+
+    The search runs in two stages over one rising r.  The first searches
+    only colorings constant on the orbits {x, c - x} of the reflection
+    x -> c - x, c the least with (a1 + a2 + a3) c = 2b (skipped when there
+    is none).  The reflection maps solutions to solutions, as
+    sum a_i (c - x_i) = (a1 + a2 + a3) c - b = b.  Such colorings are the
+    colorings of the orbits, with as many colors; an edge meeting an orbit
+    twice holds two equal colors and is never rainbow, so they correspond
+    one-to-one to the colorings of the quotient hypergraph of the edges
+    meeting three orbits, rainbow-free on one side iff on the other.  So
+    each r at which the quotient has a rainbow-free exact r-coloring has
+    rb > r, and the full search resumes at the quotient's first r without
+    one: every smaller r is feasible, so by downward closure the full
+    search's first infeasible r is rb, as if it had started at 3.  The
+    witness at rb - 1 is the lifted symmetric coloring whenever the
+    quotient reached rb - 1.  Each stage builds its pair lists and plan
+    once and shares them over its r.
     """
     cfg = cfg or SearchConfig()
-    order, by_pos = _prepare(n, eq, cfg)
-    value = n + 1
-    last = None
-    for r in range(3, n + 1):
-        found = _exists_prepared(n, eq, r, order, by_pos)
-        if found is None:
-            value = r
-            break
-        last = found
-    witness = last if value > 3 else None
-    return RbResult(value=value, provenance=PROV_BRUTE, witness=witness)
+    edges, order, full = _prepare(n, eq, cfg)
+    r, witness = 3, None
+    for pos in (_orbit_positions(eq, order), full):
+        if pos is None:
+            continue
+        m = max(pos) + 1
+        by_pos = _pairs_by_position(m, edges, pos)
+        plan = _plan(m, by_pos)
+        while r <= m:
+            found = _exists_prepared(eq, r, pos, by_pos, plan)
+            if found is None:
+                break
+            witness, r = found, r + 1
+    return RbResult(value=r, provenance=PROV_BRUTE, witness=witness)

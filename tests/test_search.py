@@ -28,14 +28,19 @@ from rainbownum.search import (
     _dfs_first,
     _element_order,
     _independent,
+    _orbit_positions,
     _pairs_by_position,
+    _plan,
 )
 
 
 def prepared(eq):
     """(n, by_pos) as the oracle prepares them for eq."""
     n, edges = eq.n, build_hypergraph(eq).edges
-    return n, _pairs_by_position(n, edges, _element_order(n, edges))
+    pos = [0] * n
+    for i, x in enumerate(_element_order(n, edges)):
+        pos[x] = i
+    return n, _pairs_by_position(n, edges, pos)
 
 
 def distinct_hypergraphs(max_n):
@@ -316,8 +321,9 @@ class TestOpeningBound:
 
     def test_deep_node_gate(self):
         # calls of the nested rec over the rb computations of the benchmark's
-        # five deep instances: 19,725 with forward checking alone, 5,718
-        # with the opening bound
+        # five deep instances, quotient searches included: 19,725 with
+        # forward checking alone, 5,718 with the opening bound, 2,202 with
+        # the symmetric stage
         rec = next(c for c in _dfs_first.__code__.co_consts
                    if isinstance(c, CodeType) and c.co_name == "rec")
         nodes = 0
@@ -337,11 +343,61 @@ class TestOpeningBound:
         finally:
             sys.setprofile(None)
         assert values == [4, 4, 4, 5, 6]
-        assert 0 < nodes <= 8000
+        assert 0 < nodes <= 3000
+
+
+class TestSymmetricStage:
+    """rb with the quotient stage and the shared plan, against a plain
+    ascending loop over the reference DFS."""
+
+    def reference_rb(self, eq):
+        n, by_pos = prepared(eq)
+        for r in range(3, n + 1):
+            if reference_search.dfs_first(n, r, by_pos) is None:
+                return r
+        return n + 1
+
+    def check(self, eq):
+        res = rainbow_number_brute(eq.n, eq)
+        assert res.value == self.reference_rb(eq), eq
+        if res.value == 3:
+            assert res.witness is None, eq
+        else:
+            assert res.witness.r == res.value - 1, eq
+            assert find_rainbow(res.witness, eq).rainbow_free, eq
+
+    def test_every_small_hypergraph(self):
+        for eq in distinct_hypergraphs(8):
+            self.check(eq)
+
+    def test_random_equations(self):
+        for eq in random_equations(17, 150, 9, 16):
+            self.check(eq)
+
+    def test_reflection_with_non_unit_sum(self):
+        # (2 + 2 + 2) c = 2b = 4 (mod 8) first holds at c = 2
+        eq = Equation(8, 2, 2, 2, 2)
+        pos = _orbit_positions(eq, list(range(8)))
+        assert all(pos[x] == pos[(2 - x) % 8] for x in range(8))
+        assert max(pos) + 1 == 5  # orbits {1} and {5} are fixed points
+        self.check(eq)
+
+    def test_no_reflection(self):
+        # (1 + 1 + 2) c = 4c is never 2b = 2 (mod 8)
+        eq = Equation(8, 1, 1, 2, 1)
+        assert _orbit_positions(eq, list(range(8))) is None
+        self.check(eq)
+
+    def test_shared_plan_matches_fresh_calls(self):
+        for eq in random_equations(18, 80, 5, 16):
+            n, by_pos = prepared(eq)
+            plan = _plan(n, by_pos)
+            for r in range(3, n + 1):
+                assert _dfs_first(n, r, by_pos, plan) == _dfs_first(n, r, by_pos), (eq, r)
 
 
 class TestFrontier:
-    """The oracle at n = 32, against an independent answer, with the
+    """The oracle at n = 32 and 40, against an independent answer, with the
     witness re-verified."""
 
     def check(self, eq, expected):
@@ -352,6 +408,11 @@ class TestFrontier:
 
     def test_zero_sum_matches_formula(self):
         eq = Equation(32, 1, 1, 1, 0)
+        assert rb_formula(eq).value == 7
+        self.check(eq, 7)
+
+    def test_zero_sum_matches_formula_at_40(self):
+        eq = Equation(40, 1, 1, 1, 0)
         assert rb_formula(eq).value == 7
         self.check(eq, 7)
 
