@@ -50,11 +50,33 @@ searches the quotient at r = 3, 4, ... and every coloring it finds lifts to
 a rainbow-free exact r-coloring of Z_n.  The full search resumes at the
 quotient's first r without one: all smaller r are feasible, so by downward
 closure (proved in rainbow_number_brute) its first infeasible r is rb.
+
+The full search also breaks the symmetry of the affine maps
+g(x) = u x + t, u a unit, with (u - 1) b + (a1 + a2 + a3) t = 0 (mod n), by
+the lex-leader predicates of the same paper.  Each such g is a bijection of
+Z_n, as u is invertible, and it sends every ordered solution to an ordered
+solution: sum a_i (u x_i + t) = u b + (a1 + a2 + a3) t = b.  It keeps
+distinct entries distinct, so it maps edges to edges, one-to-one, and a
+coloring C is rainbow-free and exact with r colors iff C(g(x)) is.  The
+search enumerates restricted-growth strings in lexicographic order, and its
+cuts drop only subtrees without a solution, so the first coloring it finds
+is the least solution P*.  The string of P* composed with g is a solution
+too, hence not below P*: P* is a lex-leader.  A node whose prefix already
+puts the string of P composed with some g below P, for every completion P,
+holds no lex-leader, so cutting it never drops P*, and the first coloring,
+every rb and every witness stay as they were.  The check starts at the
+first failed subtree: any subset of these cuts is sound, and until a
+subtree fails, every branch before the path was cut without a solution, so
+a search that reaches a coloring that way has found P* with nothing left to
+cut (``_dfs_first`` has the details).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from math import gcd
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .coloring import Coloring, find_rainbow, rainbow_solutions
@@ -148,9 +170,13 @@ def _element_order(n: int, edges) -> list[int]:
     the most edges inside the prefix (ties: higher degree, then smaller
     value).  Deterministic.
 
+    The key (completed, degree, -x) is packed into the int
+    ``score[x] = (completed * (maxdeg + 1) + degree) * n + (n - 1 - x)``,
+    which orders elements the same way since degree <= maxdeg and x < n.
     ``completed[y]`` counts the edges of y whose other two elements are in
     the prefix; it grows only when the second of those two joins, so each
-    step updates it along the edges of the element just placed.
+    step adds ``(maxdeg + 1) * n`` to the scores along the edges of the
+    element just placed.
     """
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in edges:
@@ -158,18 +184,19 @@ def _element_order(n: int, edges) -> list[int]:
         incident[v].append((u, w))
         incident[w].append((u, v))
     degree = [len(others) for others in incident]
-    completed = [0] * n
+    step = (max(degree, default=0) + 1) * n
+    score = [degree[x] * n + n - 1 - x for x in range(n)]
     left = set(range(n))
     order: list[int] = []
     for _ in range(n):
-        best = max(left, key=lambda x: (completed[x], degree[x], -x))
+        best = max(left, key=score.__getitem__)
         left.remove(best)
         order.append(best)
         for y, z in incident[best]:
             if y in left and z not in left:
-                completed[y] += 1
+                score[y] += step
             elif z in left and y not in left:
-                completed[z] += 1
+                score[z] += step
     return order
 
 
@@ -216,7 +243,7 @@ def _independent(cand: int, adj: Sequence[int], need: int) -> bool:
     return nbrs & (nbrs - 1) != 0 and _independent(rest, adj, need)
 
 
-def _plan(n, by_pos):
+def _plan(n, by_pos, symmetries=None):
     """What a search over ``by_pos`` needs besides r, built once per
     hypergraph and shared by its searches at every r.
 
@@ -229,7 +256,11 @@ def _plan(n, by_pos):
     ``adjs[i]``, the candidate bitset and ``need`` alone.  The graph depends
     only on the fixed order, and r enters only through ``need``, which is
     part of the key, so a verdict found at one r holds at every other and
-    the memo stays valid over the whole loop over r.
+    the memo stays valid over the whole loop over r.  ``symmetries``
+    returns the position maps of the lex-leader check (``_position_maps``);
+    the first search to need them calls it and keeps the maps in the
+    plan's last entry for the searches at other r.  None turns the check
+    off.
     """
     ahead: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     # opened[p]: (j, k) for each edge whose positions in order are p < j < k
@@ -245,7 +276,7 @@ def _plan(n, by_pos):
             adj[j] |= 1 << k
         adjs.append(adj[:])
     seen: list[dict[int, bool]] = [{} for _ in range(n)]
-    return ahead, adjs, seen
+    return ahead, adjs, seen, symmetries, []
 
 
 def _dfs_first(n, r, by_pos, plan=None):
@@ -276,15 +307,41 @@ def _dfs_first(n, r, by_pos, plan=None):
     same order, so the first coloring found is the one a plain enumeration
     in the same order would find.
 
-    ``plan`` is ``_plan(n, by_pos)``, built here when not given; a caller
-    searching one hypergraph at several r passes the same plan to each.
+    The lex-leader check.  Each position map pi of the plan comes from an
+    automorphism g of the hypergraph (see the module docstring),
+    pi[j] = pos[g(order[j])], so the coloring Q(j) = P(pi[j]) is a solution
+    whenever P is.  Let P* be the least solution in the order of the
+    enumeration.  The restricted-growth string of its image is a solution
+    too, so it is not below P*: P* is a lex-leader.  A node is cut when,
+    for some map, the assigned prefix already puts the string of Q below P.
+    Every completion of that prefix then has a smaller solution, so none is
+    P*, and the first coloring found stays P*.  The comparison runs
+    incrementally in ``_LexLeader``: assigning position i advances only the
+    maps whose next comparison needs it, and a map that compares greater
+    drops out for the subtree.
+
+    The check starts at the first failed subtree, a child entered that
+    returned no coloring, where ``_LexLeader`` builds the states for the
+    current path in one sweep.  Any subset of the cuts is sound, since each
+    spares P*, so checking fewer nodes never changes the first coloring.
+    Until a subtree fails, every branch before the path was cut without a
+    solution, so a search that reaches a coloring that way has found P*,
+    and no check could have cut a node of its path: a straight path to a
+    coloring does no comparison at all.
+
+    ``plan`` is ``_plan(n, by_pos, symmetries)``, built here without maps when
+    not given; a caller searching one hypergraph at several r passes the
+    same plan to each.
     """
-    ahead, adjs, seen = plan or _plan(n, by_pos)
+    ahead, adjs, seen, symmetries, maps = plan or _plan(n, by_pos)
     colors = [0] * n
     mask = [-1] * n
     trail: list[tuple[int, int]] = []
+    opened = [0] * r  # opened[label]: the position where P first takes it
+    lex: _LexLeader | None = None
 
     def rec(i: int, used: int, full: int) -> bool:
+        nonlocal lex
         if i == n:
             return True
         m = mask[i]
@@ -314,7 +371,11 @@ def _dfs_first(n, r, by_pos, plan=None):
                     if not new:
                         break
             else:
-                grown = used + 1 if col == used else used
+                if col == used:
+                    opened[col] = i
+                    grown = used + 1
+                else:
+                    grown = used
                 need = r - grown
                 ok = need <= left_full.bit_count()
                 if ok and need >= 2:
@@ -322,7 +383,22 @@ def _dfs_first(n, r, by_pos, plan=None):
                     ok = verdicts.get(key)
                     if ok is None:
                         ok = verdicts[key] = _independent(left_full, adj, need)
-                if ok and rec(i + 1, grown, left_full):
+                if not ok:
+                    pass
+                elif lex is None:
+                    if rec(i + 1, grown, left_full):
+                        return True
+                    if lex is not None:  # the check started below: undo its sweep
+                        lex.unwind(i)
+                    elif symmetries:  # this is the first failed subtree
+                        if not maps:
+                            maps.extend(symmetries())
+                        lex = _LexLeader(n, colors, opened, maps, i)
+                elif lex.bucket[i]:
+                    if lex.advance(i) and rec(i + 1, grown, left_full):
+                        return True
+                    lex.unwind(i)
+                elif rec(i + 1, grown, left_full):
                     return True
             while len(trail) > mark:
                 k, old = trail.pop()
@@ -333,6 +409,90 @@ def _dfs_first(n, r, by_pos, plan=None):
         return colors if rec(0, 0, (1 << n) - 1) else None
     finally:
         rec = None  # rec refers to itself; drop the cycle so no garbage is left
+
+
+class _LexLeader:
+    """The lex-leader comparisons of one search (see ``_dfs_first``), P
+    being the search's ``colors`` and Q(j) = P(pi[j]) for each map pi.
+
+    ``at[m]`` is the next position j that map m compares, every earlier
+    one tying, or n once the map is done for the subtree.  Comparing at j
+    needs positions j and pi[j], so a waiting map is listed in
+    ``bucket[max(j, pi[j])]``.  As Q's string equals P's before j, it opens
+    each label where P's does, at ``opened[label]``, so the label Q gives a
+    color needs no state of its own.  ``undo`` logs each step as
+    (map, index), and ``marks[i]`` is its length when position i took its
+    current color; backtracking pops back to it, bucket entries included.
+
+    Built for the path through positions 0..i-1 in one sweep.  A cut the
+    sweep meets is not applied, which is sound as any subset of cuts is.
+    """
+
+    __slots__ = ("n", "colors", "opened", "perms", "at", "bucket", "undo", "marks")
+
+    def __init__(self, n, colors, opened, perms, i):
+        self.n, self.colors, self.opened, self.perms = n, colors, opened, perms
+        # position 0 always ties, both strings starting with label 0
+        self.at = [1] * len(perms)
+        self.bucket = bucket = [[] for _ in range(n)]
+        for m, pi in enumerate(perms):
+            bucket[max(1, pi[0], pi[1])].append(m)
+        self.undo: list[int] = []
+        self.marks = marks = [0] * n
+        for d in range(i):
+            marks[d] = len(self.undo)
+            if bucket[d]:
+                self.advance(d)
+        marks[i] = len(self.undo)
+
+    def advance(self, i: int) -> bool:
+        """Compare the maps waiting for position i; False if one cuts."""
+        n, colors, opened, perms = self.n, self.colors, self.opened, self.perms
+        at, bucket, undo = self.at, self.bucket, self.undo
+        self.marks[i] = len(undo)
+        for m in bucket[i]:
+            pi = perms[m]
+            j = at[m]
+            undo.extend((m, j))
+            while True:
+                # Q's string equals P's before j, so Q opens label l at
+                # opened[l] too, with P's color there through pi; the label
+                # Q gives c = P(pi[j]) is below own iff some l < own has it
+                own, c = colors[j], colors[pi[j]]
+                t = opened[own]
+                if t == j or colors[pi[t]] != c:
+                    for label in range(own):
+                        if colors[pi[opened[label]]] == c:
+                            at[m] = n
+                            return False
+                    if t < j:
+                        at[m] = n
+                        break
+                j += 1
+                if j == n:
+                    at[m] = n
+                    break
+                k = pi[j]
+                if k < j:
+                    k = j
+                if k > i:
+                    at[m] = j
+                    bucket[k].append(m)
+                    break
+        return True
+
+    def unwind(self, i: int) -> None:
+        """Undo the steps logged since position i took its current color."""
+        n, perms, at, bucket, undo = self.n, self.perms, self.at, self.bucket, self.undo
+        mark = self.marks[i]
+        while len(undo) > mark:
+            j = undo.pop()
+            m = undo.pop()
+            k = at[m]
+            if k < n:
+                pi = perms[m]
+                bucket[k if k > pi[k] else pi[k]].pop()
+            at[m] = j
 
 
 def _exists_prepared(eq, r, pos, by_pos, plan):
@@ -365,12 +525,22 @@ def _prepare(n, eq, cfg):
     return edges, order, pos
 
 
+def _least_roots(a, cs, n):
+    """For each c in ``cs``, the least t in 0..n-1 with a t = c (mod n), or
+    None when there is none.  With d = gcd(a, n) a root exists iff d
+    divides c, and then the roots are t = (c / d)(a / d)^-1 mod n / d."""
+    d = gcd(a, n)
+    m = n // d
+    inv = pow(a // d, -1, m)
+    return [None if c % d else c % n // d * inv % m for c in cs]
+
+
 def _orbit_positions(eq, order):
     """Element -> orbit position for the reflection x -> c - x, with c the
     least in 0..n-1 such that (a1 + a2 + a3) c = 2b, orbits numbered in
     order of first appearance in ``order``; None when no such c exists."""
     n = eq.n
-    c = next((t for t in range(n) if eq.a_sum * t % n == 2 * eq.b % n), None)
+    c = _least_roots(eq.a_sum, [2 * eq.b], n)[0]
     if c is None:
         return None
     pos = [-1] * n
@@ -382,19 +552,53 @@ def _orbit_positions(eq, order):
     return pos
 
 
+def _affine_maps(eq):
+    """The automorphisms x -> u x + t the lex-leader check uses, as (u, t).
+
+    x -> u x + t, u a unit, maps solutions to solutions iff
+    (u - 1) b + (a1 + a2 + a3) t = 0, since then
+    sum a_i (u x_i + t) = u b + (a1 + a2 + a3) t = b.  These are every
+    translation (u = 1) but the identity, the multiples of n / d with
+    d = gcd(a1 + a2 + a3, n), and then for each unit u != 1 the one map with
+    the least such t, when there is one.  The whole group can be far larger
+    (251 maps for 1,1,-2 over Z_21 against these 31), and its extra checks
+    cost more than they cut.
+    """
+    n, s, b = eq.n, eq.a_sum, eq.b
+    units = [u for u in range(2, n) if gcd(u, n) == 1]
+    roots = _least_roots(s, [(1 - u) * b for u in units], n)
+    return ([(1, t) for t in range(n // gcd(s, n), n, n // gcd(s, n))]
+            + [(u, t) for u, t in zip(units, roots) if t is not None])
+
+
+def _position_maps(eq, order, pos):
+    """The maps of ``_affine_maps`` on positions: pi[j] = pos[g(order[j])].
+
+    ``ext[k]`` is pos[k mod n] for every k < n * n, which covers u x + t for
+    all u, x, t < n, so the slice of ``ext`` from t in steps of u lists
+    pos[u x + t] for x = 0..n-1; ``in_order`` reads it in the order."""
+    n = eq.n
+    ext = pos * n
+    in_order = itemgetter(*order)
+    return [list(in_order(ext[t:t + u * n:u])) for u, t in _affine_maps(eq)]
+
+
 def exists_rainbow_free(
     n: int, eq: Equation, r: int, cfg: SearchConfig | None = None
 ) -> Coloring | None:
     """A rainbow-free exact r-coloring of Z_n for eq, or None if none exists.
 
-    Enumeration covers every set partition into exactly r blocks; any
+    Enumeration covers every set partition into exactly r blocks, less the
+    subtrees the lex-leader check shows to hold no first coloring; any
     coloring returned has been re-verified with find_rainbow (always on).
     """
     cfg = cfg or SearchConfig()
     if not 3 <= r <= n:
         raise ValueError(f"r must be in [3, {n}], got {r}")
-    edges, _, pos = _prepare(n, eq, cfg)
-    return _exists_prepared(eq, r, pos, _pairs_by_position(n, edges, pos), None)
+    edges, order, pos = _prepare(n, eq, cfg)
+    by_pos = _pairs_by_position(n, edges, pos)
+    plan = _plan(n, by_pos, partial(_position_maps, eq, order, pos))
+    return _exists_prepared(eq, r, pos, by_pos, plan)
 
 
 def rainbow_number_brute(
@@ -430,7 +634,9 @@ def rainbow_number_brute(
     search's first infeasible r is rb, as if it had started at 3.  The
     witness at rb - 1 is the lifted symmetric coloring whenever the
     quotient reached rb - 1.  Each stage builds its pair lists and plan
-    once and shares them over its r.
+    once and shares them over its r.  The full stage's plan carries the
+    lex-leader maps of ``_affine_maps``; they only cut nodes, so each of
+    its searches returns the coloring the plain search would.
     """
     cfg = cfg or SearchConfig()
     edges, order, full = _prepare(n, eq, cfg)
@@ -440,7 +646,8 @@ def rainbow_number_brute(
             continue
         m = max(pos) + 1
         by_pos = _pairs_by_position(m, edges, pos)
-        plan = _plan(m, by_pos)
+        symmetries = partial(_position_maps, eq, order, pos) if pos is full else None
+        plan = _plan(m, by_pos, symmetries)
         while r <= m:
             found = _exists_prepared(eq, r, pos, by_pos, plan)
             if found is None:

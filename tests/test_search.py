@@ -25,12 +25,15 @@ from rainbownum import (
     rb_formula,
 )
 from rainbownum.search import (
+    _affine_maps,
+    _LexLeader,
     _dfs_first,
     _element_order,
     _independent,
     _orbit_positions,
     _pairs_by_position,
     _plan,
+    _position_maps,
 )
 
 
@@ -41,6 +44,32 @@ def prepared(eq):
     for i, x in enumerate(_element_order(n, edges)):
         pos[x] = i
     return n, _pairs_by_position(n, edges, pos)
+
+
+SEARCH_CODE = {
+    "rec": next(c for c in _dfs_first.__code__.co_consts
+                if isinstance(c, CodeType) and c.co_name == "rec"),
+    "start": _LexLeader.__init__.__code__,
+    "advance": _LexLeader.advance.__code__,
+}
+
+
+def count_calls(names, run):
+    """run(), with the calls of the search functions ``names`` (keys of
+    SEARCH_CODE) counted; returns (run's result, {name: calls})."""
+    codes = {SEARCH_CODE[name]: name for name in names}
+    calls = dict.fromkeys(names, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 def distinct_hypergraphs(max_n):
@@ -323,7 +352,7 @@ class TestOpeningBound:
         # calls of the nested rec over the rb computations of the benchmark's
         # five deep instances, quotient searches included: 19,725 with
         # forward checking alone, 5,718 with the opening bound, 2,202 with
-        # the symmetric stage
+        # the symmetric stage, 824 with the lex-leader check
         rec = next(c for c in _dfs_first.__code__.co_consts
                    if isinstance(c, CodeType) and c.co_name == "rec")
         nodes = 0
@@ -343,7 +372,7 @@ class TestOpeningBound:
         finally:
             sys.setprofile(None)
         assert values == [4, 4, 4, 5, 6]
-        assert 0 < nodes <= 3000
+        assert 0 < nodes <= 1000
 
 
 class TestSymmetricStage:
@@ -394,6 +423,96 @@ class TestSymmetricStage:
             plan = _plan(n, by_pos)
             for r in range(3, n + 1):
                 assert _dfs_first(n, r, by_pos, plan) == _dfs_first(n, r, by_pos), (eq, r)
+
+
+def with_maps(eq):
+    """(n, by_pos, plan) as the oracle's full stage prepares them for eq,
+    the lex-leader maps included."""
+    n, edges = eq.n, build_hypergraph(eq).edges
+    order = _element_order(n, edges)
+    pos = [0] * n
+    for i, x in enumerate(order):
+        pos[x] = i
+    by_pos = _pairs_by_position(n, edges, pos)
+    return n, by_pos, _plan(n, by_pos, lambda: _position_maps(eq, order, pos))
+
+
+class TestLexLeader:
+    """The affine maps are automorphisms, and the search that checks them
+    returns the plain DFS's first coloring."""
+
+    def check_maps(self, eq):
+        n, edges = eq.n, set(build_hypergraph(eq).edges)
+        maps = _affine_maps(eq)
+        assert (1, 0) not in maps, eq
+        for u, t in maps:
+            image = {tuple(sorted((u * x + t) % n for x in e)) for e in edges}
+            assert image == edges, (eq, u, t)
+        return maps
+
+    def test_maps_are_automorphisms_small(self):
+        for eq in distinct_hypergraphs(8):
+            self.check_maps(eq)
+
+    def test_maps_are_automorphisms_random(self):
+        # every b for each seeded coefficient triple, plus zero and non-unit
+        # coefficients over Z_30
+        rng = random.Random(19)
+        triples = [(30, 0, 2, 4), (30, 2, 2, 2), (30, 6, 10, 15), (30, 1, 1, -2)]
+        for _ in range(30):
+            n = rng.randrange(9, 31)
+            triples.append((n, rng.randrange(n), rng.randrange(n), rng.randrange(n)))
+        found = 0
+        for n, a1, a2, a3 in triples:
+            for b in range(n):
+                found += len(self.check_maps(Equation(n, a1, a2, a3, b)))
+        assert found > 0
+
+    def test_map_count(self):
+        # 1,1,-2 over Z_21: the 20 translations and one map for each of the
+        # 11 units other than 1, of the group's 251 maps besides the identity
+        assert len(_affine_maps(Equation(21, 1, 1, -2, 0))) == 31
+        # 1,1,1 with b = 1 over Z_8: 3t = 1 - u has a root for every unit u
+        assert _affine_maps(Equation(8, 1, 1, 1, 1)) == [(3, 2), (5, 4), (7, 6)]
+
+    def test_every_small_hypergraph_every_r(self):
+        for eq in distinct_hypergraphs(8):
+            n, by_pos, plan = with_maps(eq)
+            for r in range(1, n + 1):
+                want = reference_search.dfs_first(n, r, by_pos)
+                assert _dfs_first(n, r, by_pos, plan) == want, (eq, r)
+
+    def test_random_equations(self):
+        for eq in random_equations(20, 150, 9, 16):
+            n, by_pos, plan = with_maps(eq)
+            for r in range(3, n + 1):
+                want = reference_search.dfs_first(n, r, by_pos)
+                assert _dfs_first(n, r, by_pos, plan) == want, (eq, r)
+                if want is None:
+                    break  # downward closure: no larger r has a coloring
+
+    def test_straight_path_does_no_comparison(self):
+        # 5,0,11 over Z_16 has rb = 17; the full stage runs r = 10..16, and
+        # each search walks straight down to its coloring in n + 1 nodes
+        eq = Equation(16, 5, 0, 11, 0)
+        n, by_pos, plan = with_maps(eq)
+        for r in range(10, 17):
+            found, calls = count_calls(
+                ["rec", "start", "advance"], lambda: _dfs_first(n, r, by_pos, plan))
+            assert found == reference_search.dfs_first(n, r, by_pos)
+            assert calls == {"rec": n + 1, "start": 0, "advance": 0}, r
+
+    def test_failed_subtree_starts_the_check(self):
+        # 1,1,1 over Z_21 at r = 5 has no coloring: the check starts once,
+        # compares, and cuts nodes
+        eq = Equation(21, 1, 1, 1, 0)
+        n, by_pos, plan = with_maps(eq)
+        found, calls = count_calls(
+            ["rec", "start", "advance"], lambda: _dfs_first(n, 5, by_pos, plan))
+        assert found is None
+        assert calls["start"] == 1 and calls["advance"] > 0
+        _, plain = count_calls(["rec"], lambda: _dfs_first(n, 5, by_pos))
+        assert calls["rec"] < plain["rec"]
 
 
 class TestFrontier:
