@@ -565,9 +565,10 @@ def _affine_maps(eq):
     cost more than they cut.
     """
     n, s, b = eq.n, eq.a_sum, eq.b
+    step = n // gcd(s, n)
     units = [u for u in range(2, n) if gcd(u, n) == 1]
     roots = _least_roots(s, [(1 - u) * b for u in units], n)
-    return ([(1, t) for t in range(n // gcd(s, n), n, n // gcd(s, n))]
+    return ([(1, t) for t in range(step, n, step)]
             + [(u, t) for u, t in zip(units, roots) if t is not None])
 
 
