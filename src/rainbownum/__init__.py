@@ -6,36 +6,9 @@ constructions, and structural characterizations of rainbow-free
 3-colorings at prime modulus.
 """
 
-from .characterize import (
-    IntervalDecomposition,
-    interval_decomposition,
-    is_arithmetic_progression,
-    thm3_rainbow_free,
-    thm5_rainbow_free,
-    thm6_singleton_necessary,
-)
-from .coloring import (
-    Coloring,
-    PaletteView,
-    RainbowReport,
-    find_rainbow,
-    load_coloring,
-    palette_view,
-    project_palette_coloring,
-    save_coloring,
-)
-from .constructions import (
-    product_coloring,
-    symmetric_interval_coloring,
-    two_power_coloring,
-    z9_coloring,
-)
-from .equation import (
-    Equation,
-    dilation_values,
-    every_3coloring_rainbow,
-    normalize_b_to_zero,
-)
+from .characterize import thm3_rainbow_free, thm5_rainbow_free
+from .coloring import Coloring, find_rainbow, load_coloring, save_coloring
+from .equation import Equation, dilation_values
 from .errors import (
     BadModulusError,
     BadPartitionError,
@@ -47,29 +20,11 @@ from .errors import (
     NotApplicableError,
     NotCoveredError,
     NotDivisorError,
-    NotProjectableError,
     RainbowError,
 )
-from .formulas import (
-    RbResult,
-    rb_formula,
-    rb_two_power,
-    rb_z3,
-    rb_zn,
-    rb_zp,
-)
-from .modring import (
-    factorize,
-    is_periodic,
-    is_prime,
-    is_symmetric,
-    is_unit,
-    multiplicative_closure,
-    try_inverse,
-    units,
-)
+from .formulas import rb_formula, rb_zp
+from .modring import multiplicative_closure
 from .search import (
-    RainbowHypergraph,
     SearchConfig,
     build_hypergraph,
     exists_rainbow_free,
@@ -79,6 +34,9 @@ from .search import (
 
 __version__ = "0.1.0"
 
+# The error classes, Coloring, and what the README, the CLI, the scripts and
+# the benchmark import.  The submodules listed last load on first import;
+# everything else is imported from its submodule.
 __all__ = [
     "BadModulusError",
     "BadPartitionError",
@@ -87,51 +45,29 @@ __all__ = [
     "Coloring",
     "ConsistencyError",
     "Equation",
-    "IntervalDecomposition",
     "ModulusMismatchError",
     "NonUnitError",
     "NotApplicableError",
     "NotCoveredError",
     "NotDivisorError",
-    "NotProjectableError",
-    "PaletteView",
     "RainbowError",
-    "RainbowHypergraph",
-    "RainbowReport",
-    "RbResult",
     "SearchConfig",
     "build_hypergraph",
     "dilation_values",
-    "every_3coloring_rainbow",
     "exists_rainbow_free",
-    "factorize",
     "find_rainbow",
-    "interval_decomposition",
-    "is_arithmetic_progression",
-    "is_periodic",
-    "is_prime",
-    "is_symmetric",
-    "is_unit",
     "iter_exact_partitions",
     "load_coloring",
     "multiplicative_closure",
-    "normalize_b_to_zero",
-    "palette_view",
-    "product_coloring",
-    "project_palette_coloring",
     "rainbow_number_brute",
     "rb_formula",
-    "rb_two_power",
-    "rb_z3",
-    "rb_zn",
     "rb_zp",
     "save_coloring",
-    "symmetric_interval_coloring",
     "thm3_rainbow_free",
     "thm5_rainbow_free",
-    "thm6_singleton_necessary",
-    "try_inverse",
-    "two_power_coloring",
-    "units",
-    "z9_coloring",
+    "cli",
+    "coloring",
+    "constructions",
+    "formulas",
+    "search",
 ]

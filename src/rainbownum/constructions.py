@@ -56,7 +56,7 @@ def product_coloring(cp: Coloring, ct: Coloring, eq: Equation) -> Coloring:
     """Stitch witnesses for Z_p and Z_t into one for Z_{p*t} (right side 0).
 
     x not divisible by p keeps cp's color of x mod p; nonzero multiples of
-    p get ct's color of x/p shifted past cp's palette; 0 keeps cp's color
+    p get ct's color of x/p shifted past cp's colors; 0 keeps cp's color
     0.  cp must be rainbow-free with {0} a singleton class (re-indexed to
     color 0 when needed) and ct rainbow-free, both for eq read mod their
     own modulus.

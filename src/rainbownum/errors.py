@@ -44,10 +44,6 @@ class CapExceededError(RainbowError):
     """The requested modulus exceeds the configured search cap."""
 
 
-class NotProjectableError(RainbowError):
-    """Some palette exceeds the reference palette by two or more colors."""
-
-
 class BadWitnessError(RainbowError, ValueError):
     """An input coloring lacks the structure a construction requires."""
 

@@ -25,22 +25,13 @@ def is_unit(a: int, n: int) -> bool:
 
 
 def try_inverse(a: int, n: int) -> int:
-    """Multiplicative inverse of a mod n, or NonUnitError.
-
-    Extended Euclid rather than Fermat exponentiation so composite moduli
-    are handled uniformly.
-    """
+    """Multiplicative inverse of a mod n, or NonUnitError."""
     _check_modulus(n)
     a %= n
-    old_r, r = a, n
-    old_x, x = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-    if old_r != 1:
-        raise NonUnitError(f"{a} is not a unit mod {n} (gcd = {old_r})")
-    return old_x % n
+    d = gcd(a, n)
+    if d != 1:
+        raise NonUnitError(f"{a} is not a unit mod {n} (gcd = {d})")
+    return pow(a, -1, n)
 
 
 def units(n: int) -> list[int]:

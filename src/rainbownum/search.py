@@ -79,6 +79,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterator, Sequence
 
+from . import modring
 from .coloring import Coloring, find_rainbow, rainbow_solutions
 from .equation import Equation
 from .errors import CapExceededError, ConsistencyError, ModulusMismatchError
@@ -87,13 +88,13 @@ from .formulas import PROV_BRUTE, RbResult
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the exhaustive search.
+    """Configuration of the exhaustive search.
 
     ``n_cap`` is the largest modulus the oracle accepts.  At the default 48
     the slowest shape of ``scripts/oracle_range.py`` takes under 5 s
     (2-core VM, Python 3.11.7).  The search is sequential: ``parallel`` and
-    ``threads`` are accepted and ignored, kept only so that existing callers
-    that pass them still construct a config.
+    ``threads`` are accepted and ignored.  They go once the benchmark's
+    traced run stops passing them to time ``search.parallel_speedup``.
     """
 
     n_cap: int = 48
@@ -566,10 +567,10 @@ def _affine_maps(eq):
     """
     n, s, b = eq.n, eq.a_sum, eq.b
     step = n // gcd(s, n)
-    units = [u for u in range(2, n) if gcd(u, n) == 1]
-    roots = _least_roots(s, [(1 - u) * b for u in units], n)
+    others = modring.units(n)[1:]
+    roots = _least_roots(s, [(1 - u) * b for u in others], n)
     return ([(1, t) for t in range(step, n, step)]
-            + [(u, t) for u, t in zip(units, roots) if t is not None])
+            + [(u, t) for u, t in zip(others, roots) if t is not None])
 
 
 def _position_maps(eq, order, pos):

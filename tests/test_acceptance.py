@@ -20,17 +20,18 @@ from rainbownum import (
     build_hypergraph,
     find_rainbow,
     iter_exact_partitions,
-    product_coloring,
     rainbow_number_brute,
-    rb_z3,
-    rb_zn,
     rb_zp,
-    symmetric_interval_coloring,
     thm3_rainbow_free,
     thm5_rainbow_free,
+)
+from rainbownum.constructions import (
+    product_coloring,
+    symmetric_interval_coloring,
     two_power_coloring,
     z9_coloring,
 )
+from rainbownum.formulas import rb_z3, rb_zn
 
 
 @contextmanager
@@ -159,7 +160,7 @@ def test_criterion_8a_translation_bijection():
         "8a: translating by b*(a1+a2+a3)^(-1) is a solution bijection, "
         "exhaustive over the solution space for n <= 12"
     ):
-        from rainbownum import normalize_b_to_zero
+        from rainbownum.equation import normalize_b_to_zero
 
         for n in range(2, 13):
             for coeffs in [(1, 1, 1), (1, 2, 3), (2, 3, 5), (1, 1, n - 1), (3, 4, 5)]:

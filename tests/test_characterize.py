@@ -8,14 +8,16 @@ from rainbownum import (
     NotApplicableError,
     build_hypergraph,
     find_rainbow,
-    interval_decomposition,
-    is_arithmetic_progression,
     iter_exact_partitions,
-    symmetric_interval_coloring,
     thm3_rainbow_free,
     thm5_rainbow_free,
+)
+from rainbownum.characterize import (
+    interval_decomposition,
+    is_arithmetic_progression,
     thm6_singleton_necessary,
 )
+from rainbownum.constructions import symmetric_interval_coloring
 
 SYM5 = Coloring.from_classes(5, [{0}, {1, 4}, {2, 3}])
 RAINBOWY5 = Coloring.from_classes(5, [{0}, {1}, {2, 3, 4}])

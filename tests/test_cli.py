@@ -1,8 +1,9 @@
 import csv
 import json
 
-from rainbownum import Coloring, SearchConfig, save_coloring, z9_coloring
+from rainbownum import Coloring, SearchConfig, save_coloring
 from rainbownum.cli import main
+from rainbownum.constructions import z9_coloring
 from rainbownum.formulas import RbResult
 from rainbownum import cli as cli_module
 

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
+from palette import NotProjectableError, palette_view, project_palette_coloring
 
 from rainbownum import (
     BadPartitionError,
@@ -13,18 +14,17 @@ from rainbownum import (
     ModulusMismatchError,
     NonUnitError,
     NotDivisorError,
-    NotProjectableError,
     find_rainbow,
     load_coloring,
-    palette_view,
-    product_coloring,
-    project_palette_coloring,
     rb_formula,
     save_coloring,
+)
+from rainbownum.coloring import rainbow_solutions
+from rainbownum.constructions import (
+    product_coloring,
     symmetric_interval_coloring,
     two_power_coloring,
 )
-from rainbownum.coloring import rainbow_solutions
 from rainbownum.search import exists_rainbow_free
 
 SYM5 = Coloring.from_classes(5, [{0}, {1, 4}, {2, 3}])

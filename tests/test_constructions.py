@@ -9,12 +9,14 @@ from rainbownum import (
     Equation,
     exists_rainbow_free,
     find_rainbow,
-    is_symmetric,
+)
+from rainbownum.constructions import (
     product_coloring,
     symmetric_interval_coloring,
     two_power_coloring,
     z9_coloring,
 )
+from rainbownum.modring import is_symmetric
 
 
 class TestSymmetricInterval:

@@ -9,9 +9,8 @@ from rainbownum import (
     NotApplicableError,
     NotDivisorError,
     dilation_values,
-    every_3coloring_rainbow,
-    normalize_b_to_zero,
 )
+from rainbownum.equation import every_3coloring_rainbow, normalize_b_to_zero
 
 
 class TestEquationBasics:

@@ -8,9 +8,6 @@ from rainbownum import (
     NotCoveredError,
     find_rainbow,
     rb_formula,
-    rb_two_power,
-    rb_z3,
-    rb_zn,
     rb_zp,
 )
 from rainbownum.formulas import (
@@ -20,6 +17,9 @@ from rainbownum.formulas import (
     PROV_Z3,
     PROV_ZN_PRODUCT,
     PROV_ZP_DICHOTOMY,
+    rb_two_power,
+    rb_z3,
+    rb_zn,
 )
 
 
@@ -215,7 +215,7 @@ class TestLowerBoundConsistency:
 
     @staticmethod
     def _check(n, brute_rb):
-        from rainbownum import factorize
+        from rainbownum.modring import factorize
 
         coeff_pool = [
             (1, 1, 1), (1, 1, 3), (1, 2, 3), (1, 1, 2), (1, 3, 5), (1, 2, 1),

@@ -590,6 +590,42 @@ def test_import_loads_no_process_machinery():
     assert done.stdout.strip() == "[]"
 
 
+def _names_from_package(tree, relative):
+    """Names bound by ``from rainbownum import ...`` in an ast, or by the
+    package-relative ``from . import ...`` / ``from .mod import ...`` when
+    ``relative``."""
+    return {alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            if (node.level == 1 if relative
+                else node.level == 0 and node.module == "rainbownum")
+            for alias in node.names}
+
+
+def test_public_surface_is_what_callers_import():
+    # __all__ holds the error classes, Coloring, and what the README's
+    # Python block, the CLI, the scripts and the benchmark import, no more
+    root = Path(rainbownum.__file__).resolve().parents[2]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    callers = set()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.DOTALL):
+        callers |= _names_from_package(ast.parse(block), relative=False)
+    for path in sorted([*root.glob("scripts/*.py"), *root.glob("perfbench/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= _names_from_package(tree, relative=False)
+    cli = Path(rainbownum.__file__).with_name("cli.py").read_text(encoding="utf-8")
+    from_cli = _names_from_package(ast.parse(cli), relative=True)
+    errors = {name for name, obj in vars(rainbownum.errors).items()
+              if isinstance(obj, type) and issubclass(obj, rainbownum.RainbowError)}
+    exported = set(rainbownum.__all__)
+    assert "rb_formula" in callers and "SearchConfig" in callers
+    assert callers - exported == set()
+    assert exported - callers - from_cli - errors == {"Coloring"}
+    assert errors <= exported
+    namespace = {}
+    exec("from rainbownum import *", namespace)
+    assert exported <= set(namespace)
+
+
 def test_no_tuple_of_generator_in_package():
     """tuple(<generator>) allocates a guessed length (10) and reallocs to the
     real length n; freed, that tuple joins the length-n free list, not the
