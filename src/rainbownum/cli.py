@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import constructions, formulas
 from .characterize import thm3_rainbow_free, thm5_rainbow_free
@@ -46,25 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunRecord:
-    """One machine-readable result line for --json mode."""
-
-    n: int
-    coefficients: list[int]
-    rhs: int
-    method: str
-    rb_value: int | None
-    provenance: str | None
-    witness_path: str | None
-    elapsed_ms: float
-    status: str = "ok"
-    reason: str | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-
 def _parse_coeffs(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -92,66 +72,66 @@ def _equation(args, n: int) -> Equation:
     return Equation(n, a1, a2, a3, args.rhs)
 
 
-def cmd_rb(args) -> int:
-    eq = _equation(args, args.modulus)
-    records: list[RunRecord] = []
-    lines: list[str] = []
-    formula_value = None
-    brute_value = None
-    not_covered: NotCoveredError | None = None
-
-    if args.method in ("formula", "both"):
+def _answers(eq: Equation, method: str, cfg: SearchConfig) -> dict:
+    """Run what --method asks for: {method: (outcome, elapsed ms)}, the outcome
+    an RbResult or the NotCoveredError or CapExceededError that refused."""
+    answers = {}
+    for name in ("formula", "brute") if method == "both" else (method,):
         t0 = time.perf_counter()
         try:
-            res = formulas.rb_formula(eq)
-            formula_value = res.value
-            ms = (time.perf_counter() - t0) * 1000
-            records.append(
-                RunRecord(eq.n, list(eq.coeffs), eq.b, "formula", res.value,
-                          res.provenance, None, round(ms, 3))
-            )
-            lines.append(f"formula: rb = {res.value}   [{res.provenance}]")
-        except NotCoveredError as exc:
-            not_covered = exc
-            ms = (time.perf_counter() - t0) * 1000
-            records.append(
-                RunRecord(eq.n, list(eq.coeffs), eq.b, "formula", None, None,
-                          None, round(ms, 3), status="not-covered", reason=exc.reason)
-            )
-            lines.append(f"formula: not covered ({exc.reason})")
+            if name == "formula":
+                outcome = formulas.rb_formula(eq)
+            else:
+                outcome = rainbow_number_brute(eq.n, eq, cfg)
+        except (NotCoveredError, CapExceededError) as exc:
+            outcome = exc
+        answers[name] = outcome, (time.perf_counter() - t0) * 1000
+    return answers
 
-    if args.method in ("brute", "both"):
-        t0 = time.perf_counter()
-        res = rainbow_number_brute(eq.n, eq, _config(args))
-        brute_value = res.value
-        ms = (time.perf_counter() - t0) * 1000
-        records.append(
-            RunRecord(eq.n, list(eq.coeffs), eq.b, "brute", res.value,
-                      res.provenance, None, round(ms, 3))
-        )
-        lines.append(f"brute:   rb = {res.value}   [{res.provenance}]")
 
-    verdict = None
-    if args.method == "both":
-        if formula_value is not None and brute_value is not None:
-            verdict = "MATCH" if formula_value == brute_value else "MISMATCH"
-        else:
-            verdict = "SKIPPED (formula not covered)"
+def _verdict(answers: dict) -> str | None:
+    """Formula against oracle; None unless both ran and the oracle answered."""
+    if len(answers) < 2:
+        return None
+    formula, brute = answers["formula"][0], answers["brute"][0]
+    if isinstance(formula, NotCoveredError):
+        return "SKIPPED (formula not covered)"
+    if isinstance(brute, CapExceededError):
+        return None
+    return "MATCH" if formula.value == brute.value else "MISMATCH"
 
-    if args.json:
-        for rec in records:
-            print(rec.to_json())
-    else:
+
+def cmd_rb(args) -> int:
+    eq = _equation(args, args.modulus)
+    answers = _answers(eq, args.method, _config(args))
+    brute = answers.get("brute", (None,))[0]
+    if isinstance(brute, CapExceededError):
+        raise brute
+    verdict = _verdict(answers)
+
+    if not args.json:
         print(f"rb(Z_{eq.n}, {eq})")
-        for line in lines:
-            print(line)
-        if verdict is not None:
-            print(f"verdict: {verdict}")
+    for method, (outcome, ms) in answers.items():
+        refused = isinstance(outcome, NotCoveredError)
+        if args.json:
+            print(json.dumps({
+                "n": eq.n, "coefficients": list(eq.coeffs), "rhs": eq.b,
+                "method": method, "rb_value": None if refused else outcome.value,
+                "provenance": None if refused else outcome.provenance,
+                "witness_path": None, "elapsed_ms": round(ms, 3),
+                "status": "not-covered" if refused else "ok",
+                "reason": outcome.reason if refused else None}))
+        elif refused:
+            print(f"{method}: not covered ({outcome.reason})")
+        else:
+            print(f"{method + ':':<8} rb = {outcome.value}   [{outcome.provenance}]")
+    if verdict is not None and not args.json:
+        print(f"verdict: {verdict}")
 
     if verdict == "MISMATCH":
         print("error: formula and oracle disagree", file=sys.stderr)
         return EXIT_MISMATCH
-    if args.method == "formula" and not_covered is not None:
+    if args.method == "formula" and isinstance(answers["formula"][0], NotCoveredError):
         return EXIT_NOT_COVERED
     return EXIT_OK
 
@@ -173,19 +153,26 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _parse_characterize(spec_text: str):
-    if spec_text == "thm5":
-        return "thm5", None
-    if spec_text.startswith("thm3:"):
-        try:
-            return "thm3", int(spec_text[5:])
-        except ValueError:
-            raise _UsageError(
-                f"--characterize thm3 wants an integer parameter, got {spec_text!r}"
-            ) from None
-    raise _UsageError(
-        f"--characterize must be 'thm3:<c>' or 'thm5', got {spec_text!r}"
-    )
+def _characterize(spec: str, coloring, eq: Equation) -> bool:
+    """The rainbow-free verdict of the --characterize theorem on coloring."""
+    one = 1 % eq.n
+    if spec == "thm5":
+        if eq.coeffs != (one, one, one):
+            raise _UsageError("--characterize thm5 applies to coefficients 1,1,1")
+        return thm5_rainbow_free(coloring, eq.b)
+    if not spec.startswith("thm3:"):
+        raise _UsageError(f"--characterize must be 'thm3:<c>' or 'thm5', got {spec!r}")
+    try:
+        c = int(spec[5:])
+    except ValueError:
+        raise _UsageError(
+            f"--characterize thm3 wants an integer parameter, got {spec!r}"
+        ) from None
+    if eq.coeffs != (one, one, -c % eq.n) or eq.b != 0:
+        raise _UsageError(
+            f"--characterize thm3:{c} applies to coefficients 1,1,{-c} with --rhs 0"
+        )
+    return thm3_rainbow_free(coloring, c)
 
 
 def cmd_check_coloring(args) -> int:
@@ -206,22 +193,8 @@ def cmd_check_coloring(args) -> int:
     if args.characterize is None:
         return EXIT_OK
 
-    kind, cparam = _parse_characterize(args.characterize)
     try:
-        if kind == "thm5":
-            if eq.coeffs != (1 % eq.n, 1 % eq.n, 1 % eq.n):
-                raise _UsageError(
-                    "--characterize thm5 applies to coefficients 1,1,1"
-                )
-            verdict = thm5_rainbow_free(coloring, eq.b)
-        else:
-            expected = (1 % eq.n, 1 % eq.n, -cparam % eq.n)
-            if eq.coeffs != expected or eq.b != 0:
-                raise _UsageError(
-                    f"--characterize thm3:{cparam} applies to coefficients "
-                    f"1,1,{-cparam} with --rhs 0"
-                )
-            verdict = thm3_rainbow_free(coloring, cparam)
+        verdict = _characterize(args.characterize, coloring, eq)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -289,33 +262,22 @@ def cmd_scan(args) -> int:
              "provenance", "match", "elapsed_ms", "status"]
         )
         for n in range(args.modulus_min, args.modulus_max + 1):
-            t0 = time.perf_counter()
             eq = Equation(n, a1, a2, a3, args.rhs)
-            f_val: int | str = ""
-            provenance = ""
-            status = "ok"
-            if args.method in ("formula", "both"):
-                try:
-                    res = formulas.rb_formula(eq)
-                    f_val, provenance = res.value, res.provenance
-                except NotCoveredError:
-                    pass
-            b_val: int | str = ""
-            if args.method in ("brute", "both"):
-                try:
-                    b_val = rainbow_number_brute(n, eq, cfg).value
-                except CapExceededError:
-                    status = "cap-exceeded"
-            match = ""
-            if f_val != "" and b_val != "":
-                match = "true" if f_val == b_val else "false"
-                if match == "false":
-                    mismatch = True
-            ms = round((time.perf_counter() - t0) * 1000, 3)
-            writer.writerow(
-                [n, eq.a1, eq.a2, eq.a3, eq.b, f_val, b_val, provenance,
-                 match, ms, status]
-            )
+            answers = _answers(eq, args.method, cfg)
+            verdict = _verdict(answers)
+            mismatch = mismatch or verdict == "MISMATCH"
+            found = {m: out for m, (out, _) in answers.items()
+                     if not isinstance(out, Exception)}
+            formula, brute = found.get("formula"), found.get("brute")
+            writer.writerow([
+                n, eq.a1, eq.a2, eq.a3, eq.b,
+                "" if formula is None else formula.value,
+                "" if brute is None else brute.value,
+                "" if formula is None else formula.provenance,
+                {"MATCH": "true", "MISMATCH": "false"}.get(verdict, ""),
+                round(sum(ms for _, ms in answers.values()), 3),
+                "cap-exceeded" if "brute" in answers and brute is None else "ok",
+            ])
             fh.flush()
             rows += 1
     print(f"wrote {rows} rows to {args.out}")
@@ -344,7 +306,7 @@ def build_parser() -> _Parser:
     rb = sub.add_parser("rb", help="compute rb(Z_n, eq)")
     _add_common(rb)
     rb.add_argument("--method", choices=["formula", "brute", "both"], default="both")
-    rb.add_argument("--json", action="store_true", help="one RunRecord JSON per line")
+    rb.add_argument("--json", action="store_true", help="one JSON object per method")
     rb.add_argument("--n-cap", type=int, default=SearchConfig.n_cap)
     rb.set_defaults(func=cmd_rb)
 
@@ -407,9 +369,6 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except NotCoveredError as exc:
-        print(f"not covered: {exc.reason}", file=sys.stderr)
-        return EXIT_NOT_COVERED
     except OSError as exc:
         # input files are reported where they are read; this is an --out path
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",

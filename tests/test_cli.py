@@ -49,6 +49,9 @@ class TestRb:
         assert len(lines) == 2
         for line in lines:
             rec = json.loads(line)
+            assert list(rec) == ["n", "coefficients", "rhs", "method", "rb_value",
+                                 "provenance", "witness_path", "elapsed_ms",
+                                 "status", "reason"]
             assert rec["n"] == 8
             assert rec["coefficients"] == [1, 1, 1]
             assert rec["rhs"] == 0
@@ -62,7 +65,9 @@ class TestRb:
                    "--method", "formula", "--json")
         assert code == 2
         rec = json.loads(capsys.readouterr().out.strip())
+        assert rec["method"] == "formula"
         assert rec["rb_value"] is None
+        assert rec["provenance"] is None
         assert rec["status"] == "not-covered"
         assert rec["reason"]
 
@@ -342,6 +347,7 @@ class TestTopLevel:
         for cap in ("1", "0"):
             commands = [
                 ["rb", "--modulus", "5", *eq],
+                ["rb", "--modulus", "5", *eq, "--method", "formula"],
                 ["witness", "--modulus", "5", *eq, "--num-colors", "3",
                  "--out", str(tmp_path / "w.json")],
                 ["scan", "--modulus-min", "3", "--modulus-max", "5", *eq,
