@@ -23,6 +23,7 @@ from .errors import (
     BadModulusError,
     BadWitnessError,
     CapExceededError,
+    NotApplicableError,
     NotCoveredError,
 )
 from .search import SearchConfig, exists_rainbow_free, rainbow_number_brute
@@ -195,7 +196,7 @@ def cmd_check_coloring(args) -> int:
 
     try:
         verdict = _characterize(args.characterize, coloring, eq)
-    except ValueError as exc:
+    except (ValueError, NotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     agrees = verdict == report.rainbow_free

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import modring
-from .errors import NotApplicableError, NotDivisorError
+from .errors import NotDivisorError
 
 Triple = tuple[int, int, int]
 
@@ -94,23 +93,3 @@ def normalize_b_to_zero(eq: Equation) -> tuple[Equation, int]:
     offset = eq.b * modring.try_inverse(eq.a_sum, eq.n) % eq.n
     return Equation(eq.n, eq.a1, eq.a2, eq.a3, 0), offset
 
-
-def every_3coloring_rainbow(eq: Equation) -> bool:
-    """Does every exact 3-coloring of Z_p contain a rainbow solution of eq?
-
-    True iff a1+a2+a3 = 0 != b, or the six dilation values multiplicatively
-    generate all of Z_p^*.  Defined only for prime p >= 5, unit
-    coefficients, and some a_i != a_j; anything else raises
-    NotApplicableError (the criterion is silent there, not negative).
-    """
-    p = eq.n
-    if p < 5 or not modring.is_prime(p):
-        raise NotApplicableError(f"requires a prime modulus >= 5, got {p}")
-    if eq.a1 == eq.a2 == eq.a3:
-        raise NotApplicableError("requires some pair of unequal coefficients")
-    if any(gcd(a, p) != 1 for a in eq.coeffs):
-        raise NotApplicableError(f"requires unit coefficients, got {eq.coeffs} mod {p}")
-    if eq.a_sum == 0 and eq.b != 0:
-        return True
-    closure = modring.multiplicative_closure(dilation_values(eq), p)
-    return len(closure) == p - 1

@@ -15,7 +15,7 @@ from math import gcd
 from . import modring
 from .coloring import Coloring, find_rainbow
 from .constructions import symmetric_interval_coloring, two_power_coloring
-from .equation import Equation, every_3coloring_rainbow, normalize_b_to_zero
+from .equation import Equation, dilation_values, normalize_b_to_zero
 from .errors import ConsistencyError, NotCoveredError
 
 PROV_CONVENTION_Z2 = "convention-z2"
@@ -73,10 +73,11 @@ def rb_zp(p: int, eq: Equation) -> RbResult:
 
     p = 2 is 3 by convention and p = 3 delegates to rb_z3.  For p >= 5 the
     coefficients must all be units (NotCoveredError otherwise); equal
-    coefficients give 4, and unequal ones give 3 exactly when the dilation
-    values generate Z_p^* or a1+a2+a3 = 0 != b, else 4.  The
-    symmetric-interval witness is attached in the equal-coefficient b = 0
-    case.
+    coefficients give 4, and unequal ones give 3 exactly when every exact
+    3-coloring of Z_p holds a rainbow solution: when a1+a2+a3 = 0 != b, or
+    when the six dilation values multiplicatively generate Z_p^*.  Else 4.
+    The symmetric-interval witness is attached in the equal-coefficient
+    b = 0 case.
     """
     if eq.n != p:
         raise ValueError(f"equation is mod {eq.n}, not mod {p}")
@@ -95,7 +96,8 @@ def rb_zp(p: int, eq: Equation) -> RbResult:
         if eq.b == 0:
             return _with_witness(4, PROV_EQUAL_COEFFS, symmetric_interval_coloring(p), eq)
         return RbResult(4, PROV_EQUAL_COEFFS)
-    value = 3 if every_3coloring_rainbow(eq) else 4
+    closure = modring.multiplicative_closure(dilation_values(eq), p)
+    value = 3 if eq.a_sum == 0 != eq.b or len(closure) == p - 1 else 4
     return RbResult(value, PROV_ZP_DICHOTOMY)
 
 
@@ -125,33 +127,33 @@ def rb_two_power(alpha: int, eq: Equation) -> RbResult:
 
 def rb_zn(n: int, eq: Equation) -> RbResult:
     """Composite formula: 2 + sum over p^a exactly dividing n of
-    a * (rb(Z_p, eq mod p) - 2).
+    a * (rb(Z_p, eq0 mod p) - 2), where eq0 is eq with b = 0.
 
-    Covered exactly when a1*a2*a3 is a unit mod n and one of
-      1) b != 0 and a1+a2+a3 a unit mod n,
-      2) b = 0 and 3 does not divide n,
-      3) b = 0, 3 | n, and a1+a2+a3 not divisible by 3,
-    holds; the first failing condition is reported in NotCoveredError.
-    When b != 0 the equation is translated to right side 0 over Z_n first
-    (legitimate under condition 1) and only then reduced mod each prime.
+    Covered exactly when a1*a2*a3 is a unit mod n and
+      1) g = gcd(a1+a2+a3, n) divides b, and
+      3) 3 | n and 3 | a1+a2+a3 do not both hold;
+    the first failing condition is reported in NotCoveredError.  Under
+    condition 1 some t has (a1+a2+a3)*t = b mod n, and x -> x - t maps the
+    solutions of eq bijectively onto those of eq0, since the left side
+    drops by exactly (a1+a2+a3)*t.  So c is a rainbow-free coloring for eq0
+    iff x -> c(x - t) is one for eq, with as many colors, and
+    rb(Z_n, eq) = rb(Z_n, eq0).
     """
     if eq.n != n:
         raise ValueError(f"equation is mod {eq.n}, not mod {n}")
     if gcd(eq.a1 * eq.a2 * eq.a3, n) != 1:
         raise NotCoveredError(f"a1*a2*a3 is not a unit mod {n}")
-    if eq.b != 0:
-        if gcd(eq.a_sum, n) != 1:
-            raise NotCoveredError(
-                f"b != 0 and a1+a2+a3 = {eq.a_sum} is not a unit mod {n} (condition 1)"
-            )
-        eq0, _ = normalize_b_to_zero(eq)
-    else:
-        if n % 3 == 0 and eq.a_sum % 3 == 0:
-            raise NotCoveredError(
-                "b = 0, 3 | n, and a1+a2+a3 is divisible by 3 (condition 3); "
-                "Z_9 shows the formula fails here"
-            )
-        eq0 = eq
+    g = gcd(eq.a_sum, n)
+    if eq.b % g != 0:
+        raise NotCoveredError(
+            f"gcd(a1+a2+a3, n) = {g} does not divide b = {eq.b} (condition 1)"
+        )
+    if n % 3 == 0 and eq.a_sum % 3 == 0:
+        raise NotCoveredError(
+            "3 | n and a1+a2+a3 is divisible by 3 (condition 3); "
+            "Z_9 shows the formula fails here"
+        )
+    eq0 = Equation(n, eq.a1, eq.a2, eq.a3, 0)
     value = 2
     for p, a in modring.factorize(n):
         value += a * (rb_zp(p, eq0.reduce_mod(p)).value - 2)
@@ -166,9 +168,9 @@ def rb_formula(eq: Equation) -> RbResult:
     attached), everything else through rb_zn.
     """
     n = eq.n
-    if modring.is_prime(n):
-        return rb_zp(n, eq)
     fact = modring.factorize(n)
+    if fact == [(n, 1)]:
+        return rb_zp(n, eq)
     if len(fact) == 1 and fact[0][0] == 2:
         return rb_two_power(fact[0][1], eq)
     return rb_zn(n, eq)

@@ -1,9 +1,11 @@
 import csv
 import json
 
+import pytest
+
 from rainbownum import Coloring, SearchConfig, save_coloring
 from rainbownum.cli import main
-from rainbownum.constructions import z9_coloring
+from rainbownum.constructions import symmetric_interval_coloring, z9_coloring
 from rainbownum.formulas import RbResult
 from rainbownum import cli as cli_module
 
@@ -200,6 +202,23 @@ class TestCheckColoring:
         save_coloring(z9_coloring(), path)
         assert run("check-coloring", "--file", str(path), "--coeffs", "1,1,1",
                    "--rhs", "0", "--characterize", "thm7") == 1
+
+    @pytest.mark.parametrize(
+        "coloring, spec",
+        [
+            (symmetric_interval_coloring(5), "thm3:0"),
+            (symmetric_interval_coloring(5), "thm3:5"),
+            (Coloring((0, 1, 2)), "thm3:0"),
+        ],
+    )
+    def test_characterize_non_unit_c_is_usage_error(self, tmp_path, capsys,
+                                                     coloring, spec):
+        path = tmp_path / "c.json"
+        save_coloring(coloring, path)
+        assert run("check-coloring", "--file", str(path), "--coeffs", "1,1,0",
+                   "--rhs", "0", "--characterize", spec) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: c = 0 is not a unit mod {coloring.n}\n"
 
 
 class TestConstruct:

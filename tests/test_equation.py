@@ -6,11 +6,10 @@ from hypothesis import given, strategies as st
 from rainbownum import (
     Equation,
     NonUnitError,
-    NotApplicableError,
     NotDivisorError,
     dilation_values,
 )
-from rainbownum.equation import every_3coloring_rainbow, normalize_b_to_zero
+from rainbownum.equation import normalize_b_to_zero
 
 
 class TestEquationBasics:
@@ -90,30 +89,6 @@ class TestDilationValues:
             (d[3], a2, a3), (d[4], a3, a1), (d[5], a3, a2),
         ]:
             assert (val * ai + aj) % p == 0
-
-
-class TestEvery3ColoringRainbow:
-    def test_generating_closure(self):
-        assert every_3coloring_rainbow(Equation(5, 1, 2, 3, 0)) is True
-
-    def test_small_closure(self):
-        assert every_3coloring_rainbow(Equation(7, 1, 1, 6, 0)) is False
-
-    def test_zero_sum_nonzero_b(self):
-        assert every_3coloring_rainbow(Equation(5, 1, 1, 3, 1)) is True
-
-    @pytest.mark.parametrize(
-        "eq",
-        [
-            Equation(5, 1, 1, 1, 0),   # equal coefficients
-            Equation(3, 1, 2, 1, 0),   # modulus too small
-            Equation(5, 5, 1, 2, 0),   # zero coefficient
-            Equation(6, 1, 2, 3, 0),   # composite modulus
-        ],
-    )
-    def test_not_applicable(self, eq):
-        with pytest.raises(NotApplicableError):
-            every_3coloring_rainbow(eq)
 
 
 def _all_solutions(eq):

@@ -1,4 +1,5 @@
-from itertools import product
+from collections import Counter
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -152,8 +153,8 @@ class TestRbZn:
         assert "condition 1" in exc.value.reason
 
     def test_nonzero_b_condition_one(self, brute_rb):
-        # all coefficients units mod 12 and a1+a2+a3 = 7 is a unit, so the
-        # b != 0 route applies: 2 + 2*(rb(Z_2)-2) + (rb(Z_3)-2) = 5
+        # all coefficients units mod 12 and a1+a2+a3 = 7 is a unit, so b
+        # translates to 0: 2 + 2*(rb(Z_2)-2) + (rb(Z_3)-2) = 5
         eq = Equation(12, 1, 1, 5, 2)
         res = rb_zn(12, eq)
         assert res.value == 5
@@ -185,6 +186,51 @@ class TestRbFormulaDispatch:
             rb_formula(Equation(9, 1, 1, 1, 0))
 
 
+def _symmetry_classes(n):
+    """Every (a1, a2, a3, b) over Z_n, grouped into orbits of the maps that
+    leave rb unchanged (u a unit).  Permuting the coefficients permutes each
+    solution's entries; (a, b) -> (ua, ub) keeps the solution set; the
+    dilation x -> ux carries the solutions of (a, b) onto those of (a, ub);
+    the translation x -> x - 1 carries them onto those of
+    (a, b - (a1+a2+a3)).  A bijection of Z_n that maps solutions onto
+    solutions maps rainbow-free colorings onto rainbow-free colorings."""
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    seen = set()
+    for start in product(range(n), repeat=4):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            a1, a2, a3, b = frontier.pop()
+            images = [
+                (a2, a1, a3, b), (a1, a3, a2, b), (a1, a2, a3, (b - a1 - a2 - a3) % n),
+            ]
+            for u in units:
+                images.append((u * a1 % n, u * a2 % n, u * a3 % n, u * b % n))
+                images.append((a1, a2, a3, u * b % n))
+            for image in images:
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+        yield orbit
+
+
+class TestSymmetryInvariance:
+    """rb_formula gives one value on each symmetry class, or refuses it all."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_one_answer_per_class(self, n):
+        for orbit in _symmetry_classes(n):
+            answers = set()
+            for a1, a2, a3, b in orbit:
+                try:
+                    answers.add(rb_formula(Equation(n, a1, a2, a3, b)).value)
+                except NotCoveredError:
+                    answers.add(None)
+            assert len(answers) == 1, (n, min(orbit), answers)
+
+
 class TestFormulaOracleAgreement:
     """The dichotomy value equals the oracle value for every unit triple and
     every b; {5, 7} runs inside the acceptance sweep, the larger primes here."""
@@ -198,6 +244,30 @@ class TestFormulaOracleAgreement:
             for b in range(p):
                 eq = Equation(p, a1, a2, a3, b)
                 assert rb_zp(p, eq).value == rainbow_number_brute(p, eq).value, eq
+
+
+class TestTranslatedRightSide:
+    """b != 0 where g = gcd(a1+a2+a3, n) > 1 divides b: rb_zn answers these
+    through the translation to b = 0, and each answer equals the oracle's."""
+
+    def test_agrees_with_oracle(self):
+        from rainbownum import rainbow_number_brute
+
+        covered = Counter()
+        for n in range(4, 17):
+            for a1, a2, a3 in combinations_with_replacement(range(n), 3):
+                g = gcd(a1 + a2 + a3, n)
+                if g == 1:
+                    continue
+                for b in range(g, n, g):
+                    eq = Equation(n, a1, a2, a3, b)
+                    try:
+                        value = rb_formula(eq).value
+                    except NotCoveredError:
+                        continue
+                    assert value == rainbow_number_brute(n, eq).value, eq
+                    covered[n] += 1
+        assert covered == {10: 4, 14: 8, 15: 32}
 
 
 class TestLowerBoundConsistency:
