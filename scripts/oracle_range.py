@@ -4,8 +4,8 @@
 For each shape a1,a2,a3,b it runs `rainbow_number_brute` --runs times (once
 by default) and prints rb and the total time of a call, as a min-max range
 over the runs when there are several.  The last line names the slowest
-shape by its slowest run.  The oracle re-verifies every coloring it finds,
-the attached witness included.
+shape by its slowest run.  The oracle re-verifies the witness it returns,
+and that check is part of each call's time.
 
 The default shapes are those of the benchmark's `scan` workload; they
 include 1,1,1, 1,1,-2, 1,2,4 and 1,2,3 with b = 0.

@@ -18,12 +18,6 @@ def _check_modulus(n: int) -> None:
         raise ValueError(f"modulus must be >= 2, got {n}")
 
 
-def is_unit(a: int, n: int) -> bool:
-    """True iff a is invertible mod n."""
-    _check_modulus(n)
-    return gcd(a % n, n) == 1
-
-
 def try_inverse(a: int, n: int) -> int:
     """Multiplicative inverse of a mod n, or NonUnitError."""
     _check_modulus(n)

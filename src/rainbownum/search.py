@@ -67,14 +67,13 @@ holds no lex-leader, so cutting it never drops P*, and the first coloring,
 every rb and every witness stay as they were.  The check starts at the
 first failed subtree: any subset of these cuts is sound, and until a
 subtree fails, every branch before the path was cut without a solution, so
-a search that reaches a coloring that way has found P* with nothing left to
-cut (``_dfs_first`` has the details).
+a search that reaches a coloring that way has found P*, and no check could
+have cut a node of its path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -244,7 +243,7 @@ def _independent(cand: int, adj: Sequence[int], need: int) -> bool:
     return nbrs & (nbrs - 1) != 0 and _independent(rest, adj, need)
 
 
-def _plan(n, by_pos, symmetries=None):
+def _plan(n, by_pos, maps=()):
     """What a search over ``by_pos`` needs besides r, built once per
     hypergraph and shared by its searches at every r.
 
@@ -257,11 +256,9 @@ def _plan(n, by_pos, symmetries=None):
     ``adjs[i]``, the candidate bitset and ``need`` alone.  The graph depends
     only on the fixed order, and r enters only through ``need``, which is
     part of the key, so a verdict found at one r holds at every other and
-    the memo stays valid over the whole loop over r.  ``symmetries``
-    returns the position maps of the lex-leader check (``_position_maps``);
-    the first search to need them calls it and keeps the maps in the
-    plan's last entry for the searches at other r.  None turns the check
-    off.
+    the memo stays valid over the whole loop over r.  ``maps`` are the
+    position maps of the lex-leader check (``_position_maps``); none turns
+    the check off.
     """
     ahead: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     # opened[p]: (j, k) for each edge whose positions in order are p < j < k
@@ -277,64 +274,35 @@ def _plan(n, by_pos, symmetries=None):
             adj[j] |= 1 << k
         adjs.append(adj[:])
     seen: list[dict[int, bool]] = [{} for _ in range(n)]
-    return ahead, adjs, seen, symmetries, []
+    return ahead, adjs, seen, maps
 
 
 def _dfs_first(n, r, by_pos, plan=None):
-    """First valid coloring (colors by position), or None.
+    """First valid coloring (colors by position), or None: the least
+    rainbow-free exact r-coloring in restricted-growth order, found under
+    the cuts of the module docstring.
 
-    Forward checking over the restricted-growth enumeration.  ``mask[k]``
-    holds the colors position k may still take (-1: any).  When position i
-    takes color c, each edge {p, i, k} with p before i and k after it whose
-    color(p) != c narrows k to {color(p), c}; an empty mask kills the
-    branch, and the trail undoes the narrowing on backtrack.  ``full`` is
-    the bitset of unassigned positions whose mask is still -1.  A narrowed
-    position can only repeat a color, so a child is not entered when fewer
-    than ``need`` = r - (colors in use) positions are in ``full``.
+    ``mask[k]`` holds the colors position k may still take (-1: any).  When
+    position i takes color c, each edge {p, i, k} with p before i and k
+    after it whose color(p) != c narrows k to {color(p), c}; an empty mask
+    kills the branch, and the trail undoes the narrowing on backtrack.
+    ``full`` is the bitset of unassigned positions whose mask is still -1.
+    A child with positions 0..i assigned is entered only when ``full`` holds
+    ``need`` = r - (colors in use) positions that are pairwise non-adjacent
+    in ``adjs[i]``; ``need`` = 1 is the count test alone, so
+    ``_independent`` runs only for ``need`` >= 2.
 
-    The opening bound.  Take a rainbow-free completion and one position
-    from each of the ``need`` classes whose color is not open yet.  Each
-    representative is in ``full``, since a narrowed mask holds only open
-    colors.  No two of them, j and k, lie on an edge {p, j, k} with p
-    assigned: p's color is open, so that edge would be rainbow.  Hence a
-    child with positions 0..i assigned is entered only when ``full`` holds
-    ``need`` positions that are pairwise non-adjacent in the pair graph
-    ``adjs[i]``, which joins j and k for every edge p < j < k with p <= i.
-    The order is fixed before the search, so that graph depends on i alone,
-    not on any color: it is built once per hypergraph and needs no trail.
-    ``need`` = 1 is the count test above, so ``_independent`` runs only for
-    ``need`` >= 2.  Like the other cuts, the bound drops only subtrees
-    without a solution, and the search visits the surviving ones in the
-    same order, so the first coloring found is the one a plain enumeration
-    in the same order would find.
+    The lex-leader check runs in ``_LexLeader`` over the plan's position
+    maps, pi[j] = pos[g(order[j])] for each automorphism g, from the first
+    failed subtree on: a child entered that returned no coloring, where
+    ``_LexLeader`` builds the states for the current path in one sweep.  A
+    straight path to a coloring does no comparison at all.
 
-    The lex-leader check.  Each position map pi of the plan comes from an
-    automorphism g of the hypergraph (see the module docstring),
-    pi[j] = pos[g(order[j])], so the coloring Q(j) = P(pi[j]) is a solution
-    whenever P is.  Let P* be the least solution in the order of the
-    enumeration.  The restricted-growth string of its image is a solution
-    too, so it is not below P*: P* is a lex-leader.  A node is cut when,
-    for some map, the assigned prefix already puts the string of Q below P.
-    Every completion of that prefix then has a smaller solution, so none is
-    P*, and the first coloring found stays P*.  The comparison runs
-    incrementally in ``_LexLeader``: assigning position i advances only the
-    maps whose next comparison needs it, and a map that compares greater
-    drops out for the subtree.
-
-    The check starts at the first failed subtree, a child entered that
-    returned no coloring, where ``_LexLeader`` builds the states for the
-    current path in one sweep.  Any subset of the cuts is sound, since each
-    spares P*, so checking fewer nodes never changes the first coloring.
-    Until a subtree fails, every branch before the path was cut without a
-    solution, so a search that reaches a coloring that way has found P*,
-    and no check could have cut a node of its path: a straight path to a
-    coloring does no comparison at all.
-
-    ``plan`` is ``_plan(n, by_pos, symmetries)``, built here without maps when
+    ``plan`` is ``_plan(n, by_pos, maps)``, built here without maps when
     not given; a caller searching one hypergraph at several r passes the
     same plan to each.
     """
-    ahead, adjs, seen, symmetries, maps = plan or _plan(n, by_pos)
+    ahead, adjs, seen, maps = plan or _plan(n, by_pos)
     colors = [0] * n
     mask = [-1] * n
     trail: list[tuple[int, int]] = []
@@ -391,9 +359,7 @@ def _dfs_first(n, r, by_pos, plan=None):
                         return True
                     if lex is not None:  # the check started below: undo its sweep
                         lex.unwind(i)
-                    elif symmetries:  # this is the first failed subtree
-                        if not maps:
-                            maps.extend(symmetries())
+                    elif maps:  # this is the first failed subtree
                         lex = _LexLeader(n, colors, opened, maps, i)
                 elif lex.bucket[i]:
                     if lex.advance(i) and rec(i + 1, grown, left_full):
@@ -496,13 +462,10 @@ class _LexLeader:
             at[m] = j
 
 
-def _exists_prepared(eq, r, pos, by_pos, plan):
-    """The first coloring the search over ``by_pos`` finds at r, lifted to
-    Z_n through ``pos`` (element -> position), relabeled in order of first
-    appearance and re-verified; None when the search finds none."""
-    colors = _dfs_first(len(by_pos), r, by_pos, plan)
-    if colors is None:
-        return None
+def _lift(eq, r, pos, colors):
+    """The coloring by position ``colors`` lifted to Z_n through ``pos``
+    (element -> position), relabeled in order of first appearance and
+    re-verified as an exact rainbow-free r-coloring."""
     relabel: dict[int, int] = {}
     witness = Coloring(tuple([relabel.setdefault(colors[p], len(relabel)) for p in pos]))
     if witness.r != r:
@@ -599,8 +562,8 @@ def exists_rainbow_free(
         raise ValueError(f"r must be in [3, {n}], got {r}")
     edges, order, pos = _prepare(n, eq, cfg)
     by_pos = _pairs_by_position(n, edges, pos)
-    plan = _plan(n, by_pos, partial(_position_maps, eq, order, pos))
-    return _exists_prepared(eq, r, pos, by_pos, plan)
+    colors = _dfs_first(n, r, by_pos, _plan(n, by_pos, _position_maps(eq, order, pos)))
+    return None if colors is None else _lift(eq, r, pos, colors)
 
 
 def rainbow_number_brute(
@@ -620,39 +583,29 @@ def rainbow_number_brute(
     already had three distinct colors before the merge, so the merged
     coloring is rainbow-free too.  Hence no r above the answer admits a
     rainbow-free coloring either; tests check this exhaustively for n <= 8.
+    For the same reason the witness at value - 1 certifies every lower r,
+    so only that last coloring is lifted to Z_n and re-verified.
 
-    The search runs in two stages over one rising r.  The first searches
-    only colorings constant on the orbits {x, c - x} of the reflection
-    x -> c - x, c the least with (a1 + a2 + a3) c = 2b (skipped when there
-    is none).  The reflection maps solutions to solutions, as
-    sum a_i (c - x_i) = (a1 + a2 + a3) c - b = b.  Such colorings are the
-    colorings of the orbits, with as many colors; an edge meeting an orbit
-    twice holds two equal colors and is never rainbow, so they correspond
-    one-to-one to the colorings of the quotient hypergraph of the edges
-    meeting three orbits, rainbow-free on one side iff on the other.  So
-    each r at which the quotient has a rainbow-free exact r-coloring has
-    rb > r, and the full search resumes at the quotient's first r without
-    one: every smaller r is feasible, so by downward closure the full
-    search's first infeasible r is rb, as if it had started at 3.  The
-    witness at rb - 1 is the lifted symmetric coloring whenever the
-    quotient reached rb - 1.  Each stage builds its pair lists and plan
-    once and shares them over its r.  The full stage's plan carries the
-    lex-leader maps of ``_affine_maps``; they only cut nodes, so each of
-    its searches returns the coloring the plain search would.
+    The search runs in the two stages of the module docstring over one
+    rising r: the quotient by the reflection (skipped when there is none),
+    then the full search with the lex-leader maps of ``_affine_maps``.  The
+    witness is the lifted symmetric coloring whenever the quotient reached
+    value - 1.  Each stage builds its pair lists and plan once and shares
+    them over its r.
     """
     cfg = cfg or SearchConfig()
     edges, order, full = _prepare(n, eq, cfg)
-    r, witness = 3, None
+    r, last = 3, None
     for pos in (_orbit_positions(eq, order), full):
         if pos is None:
             continue
         m = max(pos) + 1
         by_pos = _pairs_by_position(m, edges, pos)
-        symmetries = partial(_position_maps, eq, order, pos) if pos is full else None
-        plan = _plan(m, by_pos, symmetries)
+        plan = _plan(m, by_pos, _position_maps(eq, order, pos) if pos is full else ())
         while r <= m:
-            found = _exists_prepared(eq, r, pos, by_pos, plan)
-            if found is None:
+            colors = _dfs_first(m, r, by_pos, plan)
+            if colors is None:
                 break
-            witness, r = found, r + 1
+            last, r = (pos, colors), r + 1
+    witness = None if last is None else _lift(eq, r - 1, *last)
     return RbResult(value=r, provenance=PROV_BRUTE, witness=witness)

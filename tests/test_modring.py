@@ -31,13 +31,6 @@ class TestTryInverse:
 
 
 class TestIsUnit:
-    @pytest.mark.parametrize(
-        "a, n, expected",
-        [(2, 5, True), (0, 5, False), (6, 9, False), (1, 2, True)],
-    )
-    def test_examples(self, a, n, expected):
-        assert modring.is_unit(a, n) is expected
-
     def test_units_list(self):
         assert modring.units(12) == [1, 5, 7, 11]
         assert modring.units(7) == [1, 2, 3, 4, 5, 6]

@@ -282,6 +282,46 @@ class TestRainbowNumberBrute:
                 assert rainbow_number_brute(n, eq.shift_b(k)).value == base
 
 
+class TestOneLiftPerAnswer:
+    """By downward closure the witness certifies every lower r, so the
+    oracle lifts and re-verifies only the coloring it returns."""
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        """The color counts of the colorings the search re-verifies."""
+        seen = []
+
+        def counted(coloring, eq):
+            seen.append(coloring.r)
+            return find_rainbow(coloring, eq)
+
+        monkeypatch.setattr("rainbownum.search.find_rainbow", counted)
+        return seen
+
+    def test_deep_instances(self, lifts):
+        deep = [(21, (1, 1, -2)), (20, (1, 1, -2)), (20, (1, 2, 4)),
+                (21, (1, 1, 1)), (20, (1, 1, 1))]
+        cfg = SearchConfig(n_cap=24)
+        values = [rainbow_number_brute(n, Equation(n, *c, 0), cfg).value for n, c in deep]
+        assert values == [4, 4, 4, 5, 6]
+        assert lifts == [3, 3, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "n, coeffs, value, lifted",
+        [(12, (1, 1, 1), 5, [4]), (5, (1, 2, 3), 3, [])],  # rb = 3 has no witness
+    )
+    def test_at_most_one_call(self, lifts, n, coeffs, value, lifted):
+        assert rainbow_number_brute(n, Equation(n, *coeffs, 0)).value == value
+        assert lifts == lifted
+
+    def test_exists_lifts_what_it_returns(self, lifts):
+        eq = Equation(5, 1, 1, 1, 0)
+        assert exists_rainbow_free(5, eq, 3) is not None
+        assert lifts == [3]
+        assert exists_rainbow_free(5, eq, 4) is None
+        assert lifts == [3]
+
+
 class TestElementOrder:
     """The incremental order against the plain one that recounts every
     candidate's completed edges at every step."""
@@ -434,7 +474,7 @@ def with_maps(eq):
     for i, x in enumerate(order):
         pos[x] = i
     by_pos = _pairs_by_position(n, edges, pos)
-    return n, by_pos, _plan(n, by_pos, lambda: _position_maps(eq, order, pos))
+    return n, by_pos, _plan(n, by_pos, _position_maps(eq, order, pos))
 
 
 class TestLexLeader:
