@@ -1,9 +1,12 @@
 """Exact colorings of Z_n and rainbow detection.
 
-Rainbow detection (find_rainbow) tests one row s1 at a time on bitsets held
-in Python ints: O(n*r) operations on n-bit ints for an r-coloring of Z_n,
-plus an O(n) scan of the row that holds the witness.  rainbow_solutions
-lists solutions in O(n^2 + #solutions) and backs the search's hypergraph.
+Rainbow detection (find_rainbow) tests each ordered pair of colors from its
+smaller class on bitsets held in Python ints: for an r-coloring of Z_n,
+sum over l1 != c3 of min(|class l1|, |class c3|) operations on n-bit ints,
+never more than the n*(r - 1) of a test per row, plus an O(n) bitset build.
+Only when a rainbow exists does a row scan name its first entry, followed
+by an O(n) scan of that row.  rainbow_solutions lists solutions in
+O(n^2 + #solutions) and backs the search's hypergraph.
 """
 
 from __future__ import annotations
@@ -99,7 +102,9 @@ class Coloring:
             raise BadPartitionError("field 'colors' must be a list")
         if len(colors) != n:
             raise BadPartitionError(f"'colors' has {len(colors)} entries but n = {n}")
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in colors):
+        # type(), not isinstance: bool is an int subclass, and JSON yields
+        # no other
+        if not {*map(type, colors)} <= {int}:
             raise BadPartitionError("'colors' entries must be integers")
         return cls(tuple(colors))
 
@@ -159,15 +164,17 @@ def rainbow_solutions(
 
 def _first_rainbow_row(eq: Equation, labels: Sequence[int], r: int) -> int | None:
     """The least s1 that starts a rainbow solution under labels 0..r-1, or
-    None; the proof is in find_rainbow."""
+    None; the pair test and the row test are proved in find_rainbow."""
     n = eq.n
     a1, a2, a3, b = eq.a1, eq.a2, eq.a3, eq.b
     full = (1 << n) - 1
     U = [0] * r
     W = [0] * r
+    members: list[list[int]] = [[] for _ in range(r)]
     for x, c in enumerate(labels):
         U[c] |= 1 << (a2 * x % n)
         W[c] |= 1 << (-a3 * x % n)
+        members[c].append(x)
     cov1 = cov2 = cov3 = 0
     for u in U:
         cov3 |= cov2 & u
@@ -177,6 +184,31 @@ def _first_rainbow_row(eq: Equation, labels: Sequence[int], r: int) -> int | Non
     D = [cov2 | cov1 & ~u for u in U]
     # W doubled, so that a right shift by n - t rotates it left by t
     by_color = [(c3, w | w << n, full & ~u) for c3, (u, w) in enumerate(zip(U, W))]
+
+    def some_pair_hits() -> bool:
+        # the pair test of find_rainbow; t is T_l1, built on first need
+        for l1, rows in enumerate(members):
+            p, d, k, t = P[l1], D[l1], len(rows), 0
+            for c3, ww, not_u in by_color:
+                if c3 == l1 or not (x := p | d & not_u):
+                    continue
+                cols = members[c3]
+                if k <= len(cols):
+                    for s1 in rows:
+                        if ww >> (n - (b - a1 * s1) % n) & x:
+                            return True
+                    continue
+                if not t:
+                    for s1 in rows:
+                        t |= 1 << ((b - a1 * s1) % n)
+                xx = x | x << n
+                for y in cols:
+                    if xx >> (-a3 * y % n) & t:
+                        return True
+        return False
+
+    if not some_pair_hits():
+        return None
     for s1 in range(n):
         l1 = labels[s1]
         shift = n - (b - a1 * s1) % n
@@ -192,10 +224,14 @@ def find_rainbow(coloring: Coloring, eq: Equation) -> RainbowReport:
 
     The witness is the lexicographically first rainbow solution
     (rainbow_solutions with the coloring as labels), hence deterministic.
-    Its row s1 is found by a test on bitsets held in Python ints, bit v
-    standing for the value v of Z_n; rainbow_solutions then lists that row
-    alone.  This costs O(n*r) operations on n-bit ints plus an O(n) scan
-    of the witness row, where listing every row costs O(n^2).
+    Tests on bitsets held in Python ints, bit v standing for the value v
+    of Z_n, decide whether a rainbow solution exists and, if one does,
+    find its row s1; rainbow_solutions then lists that row alone.  A
+    rainbow-free coloring costs sum over l1 != c3 of min(|class l1|,
+    |class c3|) operations on n-bit ints (at most n*(r - 1), and far fewer
+    when one class holds most of Z_n) plus an O(n) build, where listing
+    every row costs O(n^2).  When a rainbow exists, the row test below
+    then runs up to the witness row, followed by an O(n) scan of that row.
 
     The row test.  Let t = b - a1*s1 and l1 the color of s1.  For each
     color c put U_c = {a2*x : color(x) = c} and W_c = {-a3*x : color(x) =
@@ -216,6 +252,23 @@ def find_rainbow(coloring: Coloring, eq: Equation) -> RainbowReport:
     t + W is W rotated left by t: with WW = W | W << n, bit v of
     WW >> (n - t) is bit (v - t) mod n of W for 0 <= v < n, and the bits
     from n up are cleared by the & with X.
+
+    The pair test.  Write X_{l1,c3} for X, t(s1) = b - a1*s1 and T_l1 =
+    {t(s1) : color(s1) = l1}.  By the row test, some row of color l1
+    holds a rainbow solution with x3 of color c3 iff t + w lies in X for
+    some t in T_l1 and w in W_c3, and a rainbow solution exists iff this
+    holds for some ordered pair l1 != c3.  A pair with X = 0 holds none.
+    Otherwise the pair is tested from its smaller class: when |class l1|
+    <= |class c3|, by rotating W_c3 left by t(s1) for each s1 of color l1
+    and meeting X, as the row test does; else by rotating X right by
+    w = -a3*y for each y of color c3 and meeting the bitset T_l1, since
+    t + w lies in X iff t lies in X - w.  With XX = X | X << n, bit v of
+    XX >> w is bit (v + w) mod n of X for 0 <= v < n, and T_l1 has no bit
+    from n up.  T_l1 is built once per l1, and only for an l1 that some
+    pair tests from the c3 side, so the builds add O(n) shifts.  When no
+    pair holds a rainbow solution the coloring is rainbow-free; else the
+    row test runs over s1 = 0, 1, ... to name the least row, so the
+    witness is the one a row test alone would give.
     """
     if coloring.n != eq.n:
         raise ModulusMismatchError(

@@ -161,6 +161,22 @@ class TestCheckColoring:
         assert run("check-coloring", "--file", str(path), "--coeffs", "1,1,1",
                    "--rhs", "0") == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "colors": [0, 1, true]}',
+            '{"n": 3, "colors": [0, 1, 1.0]}',
+            '{"n": 3, "colors": [0, 1, "1"]}',
+            '{"n": true, "colors": [0]}',
+        ],
+    )
+    def test_non_integer_values_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run("check-coloring", "--file", str(path), "--coeffs", "1,1,1",
+                   "--rhs", "0") == 1
+        assert capsys.readouterr().err.startswith("error: bad coloring file: ")
+
     def test_missing_file_exits_1(self, tmp_path):
         assert run("check-coloring", "--file", str(tmp_path / "nope.json"),
                    "--coeffs", "1,1,1", "--rhs", "0") == 1

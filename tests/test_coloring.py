@@ -280,6 +280,46 @@ class TestRowKernel:
             assert witness is not None
             assert find_rainbow(moved, eq).witness == witness
 
+    def test_geometric_classes_both_sides(self):
+        # classes of sizes 1, 1, 2, 4, ... (the last one cut to fit n) make
+        # most pairs unequal, so both sides of the pair test run; a1 and a3
+        # are non-units in about half the draws, so values of T and W repeat
+        rng = random.Random(2400)
+        free = 0
+        for n in range(2, 65):
+            sizes = [1, 1]
+            while sum(sizes) < n:
+                sizes.append(min(sizes[-1] * 2, n - sum(sizes)))
+            assign = [c for c, size in enumerate(sizes) for _ in range(size)][:n]
+            divisors = [d for d in range(2, n) if n % d == 0] or [1]
+            for _ in range(6):
+                rng.shuffle(assign)
+                c = Coloring(tuple(assign))
+                a1, a3 = (rng.choice(divisors) * rng.randrange(1, n) if rng.random() < 0.5
+                          else rng.randrange(n) for _ in range(2))
+                eq = Equation(n, a1, rng.randrange(n), a3, rng.randrange(n))
+                witness = first_rainbow(c, eq)
+                assert find_rainbow(c, eq).witness == witness, (eq, c.assign)
+                free += witness is None
+        assert free > 10
+
+    @pytest.mark.parametrize(
+        "assign, eq, pair",
+        [
+            # x1 in the singleton {1}, x3 in the largest class: the pair is
+            # tested by rotating W from the row of the singleton
+            ((2, 0, 2, 2, 2, 1), Equation(6, 2, 4, 3, 4), (0, 2)),
+            # x1 in the largest class, x3 in the singleton {5}: the pair is
+            # tested by rotating X once and meeting T of the largest class
+            ((2, 1, 2, 2, 2, 0), Equation(6, 3, 2, 4, 4), (2, 0)),
+        ],
+    )
+    def test_only_rainbow_pairs_a_singleton_with_the_largest_class(
+            self, assign, eq, pair):
+        solutions = list(rainbow_solutions(eq, assign))
+        assert {(assign[s1], assign[s3]) for s1, _, s3 in solutions} == {pair}
+        assert find_rainbow(Coloring(assign), eq).witness == solutions[0]
+
 
 class TestTranslateDilate:
     def test_translate_classes(self):
@@ -438,4 +478,19 @@ class TestJsonFormat:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
+            load_coloring(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3, "colors": [0, 1, True]},       # bool is an int subclass
+            {"n": 3, "colors": [0, 1, 1.0]},        # float
+            {"n": 3, "colors": [0, 1, "1"]},        # string
+            {"n": True, "colors": [0]},              # bool n
+        ],
+    )
+    def test_non_integer_values_rejected(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadPartitionError):
             load_coloring(path)
