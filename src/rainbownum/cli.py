@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error or malformed input file, 2 no
 covering closed form / no such coloring, 3 search cap exceeded, 4
-formula-vs-oracle (or characterization-vs-search) mismatch.  A mismatch is
-a discovered inconsistency and is always loud.
+formula-vs-oracle (or characterization-vs-search) mismatch, 130 Ctrl-C.
+A mismatch is a discovered inconsistency and is always loud.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ EXIT_USAGE = 1
 EXIT_NOT_COVERED = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
+EXIT_INTERRUPTED = 130
 
 
 class _UsageError(Exception):
@@ -375,6 +376,9 @@ def main(argv=None) -> int:
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Rainbow detection (find_rainbow) tests each ordered pair of colors from its
 smaller class on bitsets held in Python ints: for an r-coloring of Z_n,
-sum over l1 != c3 of min(|class l1|, |class c3|) operations on n-bit ints,
-never more than the n*(r - 1) of a test per row, plus an O(n) bitset build.
+sum over l1 != c3 of min(|class l1|, |class c3|) operations on n-bit ints
+(at most n*(r - 1)), plus a bitset build of O(n^2) digit operations.
 Only when a rainbow exists does a row scan name its first entry, followed
 by an O(n) scan of that row.  rainbow_solutions lists solutions in
 O(n^2 + #solutions) and backs the search's hypergraph.
@@ -229,9 +229,10 @@ def find_rainbow(coloring: Coloring, eq: Equation) -> RainbowReport:
     find its row s1; rainbow_solutions then lists that row alone.  A
     rainbow-free coloring costs sum over l1 != c3 of min(|class l1|,
     |class c3|) operations on n-bit ints (at most n*(r - 1), and far fewer
-    when one class holds most of Z_n) plus an O(n) build, where listing
-    every row costs O(n^2).  When a rainbow exists, the row test below
-    then runs up to the witness row, followed by an O(n) scan of that row.
+    when one class holds most of Z_n) plus a build of O(n) ors into n-bit
+    ints (O(n^2) digit operations), where listing every row costs O(n^2)
+    Python steps.  When a rainbow exists, the row test below then runs up
+    to the witness row, followed by an O(n) scan of that row.
 
     The row test.  Let t = b - a1*s1 and l1 the color of s1.  For each
     color c put U_c = {a2*x : color(x) = c} and W_c = {-a3*x : color(x) =

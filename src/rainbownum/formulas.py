@@ -101,30 +101,6 @@ def rb_zp(p: int, eq: Equation) -> RbResult:
     return RbResult(value, PROV_ZP_DICHOTOMY)
 
 
-def rb_two_power(alpha: int, eq: Equation) -> RbResult:
-    """rb(Z_{2^alpha}, eq) = alpha + 2 when all coefficients are odd.
-
-    The recursive even/odd witness is attached (translated when b != 0;
-    the coefficient sum of three odds is odd, hence a unit, so the
-    translation to right side 0 always exists).
-    """
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    n = 2 ** alpha
-    if eq.n != n:
-        raise ValueError(f"equation is mod {eq.n}, not mod {n}")
-    if any(a % 2 == 0 for a in eq.coeffs):
-        raise NotCoveredError(
-            f"coefficients {eq.coeffs} mod {n} include an even one; only the "
-            "search oracle applies"
-        )
-    witness = two_power_coloring(alpha)
-    if eq.b != 0:
-        _, offset = normalize_b_to_zero(eq)
-        witness = witness.translate(-offset % n)
-    return _with_witness(alpha + 2, PROV_TWO_POWER, witness, eq)
-
-
 def rb_zn(n: int, eq: Equation) -> RbResult:
     """Composite formula: 2 + sum over p^a exactly dividing n of
     a * (rb(Z_p, eq0 mod p) - 2), where eq0 is eq with b = 0.
@@ -138,6 +114,11 @@ def rb_zn(n: int, eq: Equation) -> RbResult:
     drops by exactly (a1+a2+a3)*t.  So c is a rainbow-free coloring for eq0
     iff x -> c(x - t) is one for eq, with as many colors, and
     rb(Z_n, eq) = rb(Z_n, eq0).
+
+    At n = 2^alpha the guard reads "all coefficients odd": then a1+a2+a3
+    is odd, so g = 1, and 3 does not divide n.  The product is
+    2 + alpha * (rb(Z_2) - 2) = alpha + 2, and two_power_coloring(alpha),
+    translated to eq's right side, is attached as the witness.
     """
     if eq.n != n:
         raise ValueError(f"equation is mod {eq.n}, not mod {n}")
@@ -157,20 +138,19 @@ def rb_zn(n: int, eq: Equation) -> RbResult:
     value = 2
     for p, a in modring.factorize(n):
         value += a * (rb_zp(p, eq0.reduce_mod(p)).value - 2)
-    return RbResult(value, PROV_ZN_PRODUCT)
+    if n & (n - 1):
+        return RbResult(value, PROV_ZN_PRODUCT)
+    _, offset = normalize_b_to_zero(eq)
+    witness = two_power_coloring(n.bit_length() - 1).translate(-offset)
+    return _with_witness(value, PROV_TWO_POWER, witness, eq)
 
 
 def rb_formula(eq: Equation) -> RbResult:
     """Dispatch to the sharpest covering closed form.
 
     Primes go through rb_zp (which also covers a1+a2+a3 = 0 with b != 0,
-    unreachable for rb_zn), powers of two through rb_two_power (witness
-    attached), everything else through rb_zn.
+    unreachable for rb_zn), everything else through rb_zn.
     """
-    n = eq.n
-    fact = modring.factorize(n)
-    if fact == [(n, 1)]:
-        return rb_zp(n, eq)
-    if len(fact) == 1 and fact[0][0] == 2:
-        return rb_two_power(fact[0][1], eq)
-    return rb_zn(n, eq)
+    if modring.is_prime(eq.n):
+        return rb_zp(eq.n, eq)
+    return rb_zn(eq.n, eq)

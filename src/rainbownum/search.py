@@ -90,7 +90,7 @@ class SearchConfig:
     """Configuration of the exhaustive search.
 
     ``n_cap`` is the largest modulus the oracle accepts.  At the default 48
-    the slowest shape of ``scripts/oracle_range.py`` takes under 5 s
+    the slowest shape of ``scripts/oracle_range.py`` takes about 2.5 s
     (2-core VM, Python 3.11.7).  The search is sequential: ``parallel`` and
     ``threads`` are accepted and ignored.  They go once the benchmark's
     traced run stops passing them to time ``search.parallel_speedup``.

@@ -393,6 +393,21 @@ class TestTopLevel:
                 err = capsys.readouterr().err
                 assert err.startswith("usage error: n_cap must be >= 2"), argv
 
+    def test_ctrl_c_exits_130(self, tmp_path, capsys, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "rainbow_number_brute", interrupt)
+        eq = ["--coeffs", "1,1,1", "--rhs", "0"]
+        for argv in (
+            ["rb", "--modulus", "8", *eq, "--method", "brute"],
+            ["scan", "--modulus-min", "6", "--modulus-max", "8", *eq,
+             "--out", str(tmp_path / "s.csv")],
+        ):
+            assert main(argv) == 130, argv
+            captured = capsys.readouterr()
+            assert captured.err == "interrupted\n", argv
+
 
 class TestUnwritableOut:
     def check(self, capsys, argv, path):

@@ -18,7 +18,6 @@ from rainbownum.formulas import (
     PROV_Z3,
     PROV_ZN_PRODUCT,
     PROV_ZP_DICHOTOMY,
-    rb_two_power,
     rb_z3,
     rb_zn,
 )
@@ -95,12 +94,12 @@ class TestRbZp:
 
 class TestRbTwoPower:
     def test_alpha_one_is_convention(self):
-        res = rb_two_power(1, Equation(2, 1, 1, 1, 0))
+        res = rb_zn(2**1, Equation(2, 1, 1, 1, 0))
         assert res.value == 3
         assert res.witness is not None and res.witness.r == 2
 
     def test_alpha_three(self):
-        res = rb_two_power(3, Equation(8, 1, 1, 1, 0))
+        res = rb_zn(2**3, Equation(8, 1, 1, 1, 0))
         assert res.value == 5
         assert res.provenance == PROV_TWO_POWER
         assert res.witness.color_classes() == [
@@ -110,19 +109,19 @@ class TestRbTwoPower:
 
     def test_even_coefficient_not_covered(self):
         with pytest.raises(NotCoveredError):
-            rb_two_power(2, Equation(4, 2, 1, 1, 0))
+            rb_zn(2**2, Equation(4, 2, 1, 1, 0))
 
     @pytest.mark.parametrize("b", [1, 3, 5])
     def test_nonzero_b_witness_is_translated_and_verified(self, b):
         eq = Equation(8, 1, 3, 3, b)
-        res = rb_two_power(3, eq)
+        res = rb_zn(2**3, eq)
         assert res.value == 5
         assert res.witness is not None and res.witness.r == 4
         assert find_rainbow(res.witness, eq).rainbow_free
 
     def test_wrong_modulus(self):
         with pytest.raises(ValueError):
-            rb_two_power(3, Equation(16, 1, 1, 1, 0))
+            rb_zn(2**3, Equation(16, 1, 1, 1, 0))
 
 
 class TestRbZn:
@@ -268,6 +267,33 @@ class TestTranslatedRightSide:
                     assert value == rainbow_number_brute(n, eq).value, eq
                     covered[n] += 1
         assert covered == {10: 4, 14: 8, 15: 32}
+
+
+class TestTwoPowerOracleAgreement:
+    """At n = 2^alpha rb_formula answers exactly when every coefficient is
+    odd, with alpha + 2, the oracle's value, and an (alpha + 1)-color
+    witness; every sorted triple at n = 4 and 8, every odd one at 16."""
+
+    def test_agrees_with_oracle(self):
+        from rainbownum import rainbow_number_brute
+
+        answered = 0
+        for alpha, pool in ((2, range(4)), (3, range(8)), (4, range(1, 16, 2))):
+            n = 2 ** alpha
+            for coeffs in combinations_with_replacement(pool, 3):
+                for b in range(n):
+                    eq = Equation(n, *coeffs, b)
+                    if not all(a % 2 for a in coeffs):
+                        with pytest.raises(NotCoveredError):
+                            rb_formula(eq)
+                        continue
+                    res = rb_formula(eq)
+                    assert res.value == alpha + 2 == rainbow_number_brute(n, eq).value, eq
+                    assert res.provenance == PROV_TWO_POWER
+                    assert res.witness.r == alpha + 1
+                    assert find_rainbow(res.witness, eq).rainbow_free
+                    answered += 1
+        assert answered == 2096
 
 
 class TestLowerBoundConsistency:
