@@ -53,7 +53,7 @@ def main() -> int:
         )) if not a1 == a2 == a3 else None
         for b in range(p):
             eq = Equation(p, a1, a2, a3, b)
-            formula = rb_zp(p, eq).value
+            formula = rb_zp(eq).value
             brute = rainbow_number_brute(p, eq).value
             total += 1
             if formula != brute:

@@ -63,14 +63,6 @@ def interval_decomposition(a, b, c, p: int, d: int = 1) -> IntervalDecomposition
     return IntervalDecomposition(d, t1, t2, t3)
 
 
-def is_arithmetic_progression(s, d: int, p: int) -> bool:
-    """Is s = {beta, beta + d, ..., beta + k*d} mod p for some beta?"""
-    if len(s) == p:
-        return True
-    dinv = modring.try_inverse(d, p)
-    return _interval_start({dinv * x % p for x in s}, p) is not None
-
-
 def _prime_3coloring(c3: Coloring) -> int:
     p = c3.n
     if c3.r != 3:

@@ -44,10 +44,6 @@ class Equation:
         s1, s2, s3 = t
         return (self.a1 * s1 + self.a2 * s2 + self.a3 * s3 - self.b) % self.n == 0
 
-    def shift_b(self, k: int) -> Equation:
-        """Same coefficients, right side b + (a1+a2+a3)*k."""
-        return Equation(self.n, self.a1, self.a2, self.a3, self.b + self.a_sum * k)
-
     def reduce_mod(self, m: int) -> Equation:
         """The same equation read mod a divisor m of n."""
         if m < 2 or self.n % m != 0:
@@ -80,16 +76,4 @@ def dilation_values(eq: Equation) -> tuple[int, int, int, int, int, int]:
         -eq.a1 * i3 % n,
         -eq.a2 * i3 % n,
     )
-
-
-def normalize_b_to_zero(eq: Equation) -> tuple[Equation, int]:
-    """Translate the solution set so the right side becomes 0.
-
-    Returns (same coefficients with b = 0, offset) where
-    offset = b * (a1+a2+a3)^(-1); the map x -> x - offset carries solutions
-    of the input bijectively onto solutions of the output.  Requires
-    a1+a2+a3 to be a unit mod n (NonUnitError otherwise).
-    """
-    offset = eq.b * modring.try_inverse(eq.a_sum, eq.n) % eq.n
-    return Equation(eq.n, eq.a1, eq.a2, eq.a3, 0), offset
 

@@ -15,7 +15,7 @@ from math import gcd
 from . import modring
 from .coloring import Coloring, find_rainbow
 from .constructions import symmetric_interval_coloring, two_power_coloring
-from .equation import Equation, dilation_values, normalize_b_to_zero
+from .equation import Equation, dilation_values
 from .errors import ConsistencyError, NotCoveredError
 
 PROV_CONVENTION_Z2 = "convention-z2"
@@ -68,8 +68,8 @@ def rb_z3(eq: Equation) -> RbResult:
     return RbResult(4, PROV_Z3)
 
 
-def rb_zp(p: int, eq: Equation) -> RbResult:
-    """rb(Z_p, eq) for prime p.
+def rb_zp(eq: Equation) -> RbResult:
+    """rb(Z_p, eq) for a prime modulus p = eq.n.
 
     p = 2 is 3 by convention and p = 3 delegates to rb_z3.  For p >= 5 the
     coefficients must all be units (NotCoveredError otherwise); equal
@@ -79,8 +79,7 @@ def rb_zp(p: int, eq: Equation) -> RbResult:
     The symmetric-interval witness is attached in the equal-coefficient
     b = 0 case.
     """
-    if eq.n != p:
-        raise ValueError(f"equation is mod {eq.n}, not mod {p}")
+    p = eq.n
     if not modring.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
@@ -101,33 +100,34 @@ def rb_zp(p: int, eq: Equation) -> RbResult:
     return RbResult(value, PROV_ZP_DICHOTOMY)
 
 
-def rb_zn(n: int, eq: Equation) -> RbResult:
-    """Composite formula: 2 + sum over p^a exactly dividing n of
+def rb_zn(eq: Equation) -> RbResult:
+    """Composite formula: 2 + sum over p^a exactly dividing n = eq.n of
     a * (rb(Z_p, eq0 mod p) - 2), where eq0 is eq with b = 0.
 
     Covered exactly when a1*a2*a3 is a unit mod n and
       1) g = gcd(a1+a2+a3, n) divides b, and
       3) 3 | n and 3 | a1+a2+a3 do not both hold;
-    the first failing condition is reported in NotCoveredError.  Under
-    condition 1 some t has (a1+a2+a3)*t = b mod n, and x -> x - t maps the
-    solutions of eq bijectively onto those of eq0, since the left side
-    drops by exactly (a1+a2+a3)*t.  So c is a rainbow-free coloring for eq0
-    iff x -> c(x - t) is one for eq, with as many colors, and
+    the first failing condition is reported in NotCoveredError.  Condition 1
+    says (a1+a2+a3)*t = b mod n has a root t, the least of which
+    ``modring.least_roots`` gives.  Then x -> x - t maps the solutions of eq
+    bijectively onto those of eq0, since the left side drops by exactly
+    (a1+a2+a3)*t.  So c is a rainbow-free coloring for eq0 iff
+    x -> c(x - t) is one for eq, with as many colors, and
     rb(Z_n, eq) = rb(Z_n, eq0).
 
     At n = 2^alpha the guard reads "all coefficients odd": then a1+a2+a3
     is odd, so g = 1, and 3 does not divide n.  The product is
     2 + alpha * (rb(Z_2) - 2) = alpha + 2, and two_power_coloring(alpha),
-    translated to eq's right side, is attached as the witness.
+    translated by that t, is attached as the witness.
     """
-    if eq.n != n:
-        raise ValueError(f"equation is mod {eq.n}, not mod {n}")
+    n = eq.n
     if gcd(eq.a1 * eq.a2 * eq.a3, n) != 1:
         raise NotCoveredError(f"a1*a2*a3 is not a unit mod {n}")
-    g = gcd(eq.a_sum, n)
-    if eq.b % g != 0:
+    (t,) = modring.least_roots(eq.a_sum, [eq.b], n)
+    if t is None:
         raise NotCoveredError(
-            f"gcd(a1+a2+a3, n) = {g} does not divide b = {eq.b} (condition 1)"
+            f"gcd(a1+a2+a3, n) = {gcd(eq.a_sum, n)} does not divide b = {eq.b} "
+            "(condition 1)"
         )
     if n % 3 == 0 and eq.a_sum % 3 == 0:
         raise NotCoveredError(
@@ -137,11 +137,10 @@ def rb_zn(n: int, eq: Equation) -> RbResult:
     eq0 = Equation(n, eq.a1, eq.a2, eq.a3, 0)
     value = 2
     for p, a in modring.factorize(n):
-        value += a * (rb_zp(p, eq0.reduce_mod(p)).value - 2)
+        value += a * (rb_zp(eq0.reduce_mod(p)).value - 2)
     if n & (n - 1):
         return RbResult(value, PROV_ZN_PRODUCT)
-    _, offset = normalize_b_to_zero(eq)
-    witness = two_power_coloring(n.bit_length() - 1).translate(-offset)
+    witness = two_power_coloring(n.bit_length() - 1).translate(-t)
     return _with_witness(value, PROV_TWO_POWER, witness, eq)
 
 
@@ -152,5 +151,5 @@ def rb_formula(eq: Equation) -> RbResult:
     unreachable for rb_zn), everything else through rb_zn.
     """
     if modring.is_prime(eq.n):
-        return rb_zp(eq.n, eq)
-    return rb_zn(eq.n, eq)
+        return rb_zp(eq)
+    return rb_zn(eq)

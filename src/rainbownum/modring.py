@@ -1,4 +1,7 @@
-"""Exact arithmetic in Z_n: units, factorization, closures, set predicates.
+"""Exact arithmetic in Z_n: units, linear congruences, factorization,
+closures, set predicates.
+
+``least_roots`` is the package's one solver of a*t = c (mod n).
 
 Moduli are plain ints with n >= 2 and residues are ints normalized to
 [0, n); negative inputs are reduced on entry.  Sets of residues are
@@ -21,11 +24,21 @@ def _check_modulus(n: int) -> None:
 def try_inverse(a: int, n: int) -> int:
     """Multiplicative inverse of a mod n, or NonUnitError."""
     _check_modulus(n)
-    a %= n
     d = gcd(a, n)
     if d != 1:
         raise NonUnitError(f"{a} is not a unit mod {n} (gcd = {d})")
     return pow(a, -1, n)
+
+
+def least_roots(a: int, cs: Iterable[int], n: int) -> list[int | None]:
+    """For each c in ``cs``, the least t in 0..n-1 with a*t = c (mod n), or
+    None when there is none.  With d = gcd(a, n) a root exists iff d
+    divides c, and then the roots are t = (c / d)(a / d)^-1 mod n / d."""
+    _check_modulus(n)
+    d = gcd(a, n)
+    m = n // d
+    inv = pow(a // d, -1, m)
+    return [None if c % d else c % n // d * inv % m for c in cs]
 
 
 def units(n: int) -> list[int]:

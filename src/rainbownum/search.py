@@ -90,10 +90,13 @@ class SearchConfig:
     """Configuration of the exhaustive search.
 
     ``n_cap`` is the largest modulus the oracle accepts.  At the default 48
-    the slowest shape of ``scripts/oracle_range.py`` takes about 2.5 s
-    (2-core VM, Python 3.11.7).  The search is sequential: ``parallel`` and
-    ``threads`` are accepted and ignored.  They go once the benchmark's
-    traced run stops passing them to time ``search.parallel_speedup``.
+    the slowest of the 24 shapes of ``scripts/oracle_range.py`` takes about
+    2.5 s (2-core VM, Python 3.11.7).  That bound covers those shapes only:
+    non-unit shapes with rb = 3 are slower well below the cap, 1,7,30 with
+    b = 1 taking 7.9-9.6 s at n = 35 and 1,15,32 with b = 1 71 s at n = 40.
+    The search is sequential: ``parallel`` and ``threads`` are accepted and
+    ignored.  They go once the benchmark's traced run stops passing them to
+    time ``search.parallel_speedup``.
     """
 
     n_cap: int = 48
@@ -489,22 +492,13 @@ def _prepare(n, eq, cfg):
     return edges, order, pos
 
 
-def _least_roots(a, cs, n):
-    """For each c in ``cs``, the least t in 0..n-1 with a t = c (mod n), or
-    None when there is none.  With d = gcd(a, n) a root exists iff d
-    divides c, and then the roots are t = (c / d)(a / d)^-1 mod n / d."""
-    d = gcd(a, n)
-    m = n // d
-    inv = pow(a // d, -1, m)
-    return [None if c % d else c % n // d * inv % m for c in cs]
-
-
 def _orbit_positions(eq, order):
     """Element -> orbit position for the reflection x -> c - x, with c the
-    least in 0..n-1 such that (a1 + a2 + a3) c = 2b, orbits numbered in
-    order of first appearance in ``order``; None when no such c exists."""
+    least root of (a1 + a2 + a3) c = 2b from ``modring.least_roots``,
+    orbits numbered in order of first appearance in ``order``; None when
+    there is no root."""
     n = eq.n
-    c = _least_roots(eq.a_sum, [2 * eq.b], n)[0]
+    (c,) = modring.least_roots(eq.a_sum, [2 * eq.b], n)
     if c is None:
         return None
     pos = [-1] * n
@@ -524,14 +518,14 @@ def _affine_maps(eq):
     sum a_i (u x_i + t) = u b + (a1 + a2 + a3) t = b.  These are every
     translation (u = 1) but the identity, the multiples of n / d with
     d = gcd(a1 + a2 + a3, n), and then for each unit u != 1 the one map with
-    the least such t, when there is one.  The whole group can be far larger
-    (251 maps for 1,1,-2 over Z_21 against these 31), and its extra checks
-    cost more than they cut.
+    the least such t from ``modring.least_roots``, when there is one.  The
+    whole group can be far larger (251 maps for 1,1,-2 over Z_21 against
+    these 31), and its extra checks cost more than they cut.
     """
     n, s, b = eq.n, eq.a_sum, eq.b
     step = n // gcd(s, n)
     others = modring.units(n)[1:]
-    roots = _least_roots(s, [(1 - u) * b for u in others], n)
+    roots = modring.least_roots(s, [(1 - u) * b for u in others], n)
     return ([(1, t) for t in range(step, n, step)]
             + [(u, t) for u, t in zip(others, roots) if t is not None])
 

@@ -12,6 +12,7 @@ from itertools import product
 from math import gcd
 
 import pytest
+from solutions import all_solutions, shift_b
 
 from rainbownum import (
     Coloring,
@@ -32,6 +33,7 @@ from rainbownum.constructions import (
     z9_coloring,
 )
 from rainbownum.formulas import rb_z3, rb_zn
+from rainbownum.modring import least_roots
 
 
 @contextmanager
@@ -61,7 +63,7 @@ def test_criterion_2_dichotomy_sweep():
                 for b in range(p):
                     eq = Equation(p, a1, a2, a3, b)
                     count += 1
-                    assert rb_zp(p, eq).value == rainbow_number_brute(p, eq).value, eq
+                    assert rb_zp(eq).value == rainbow_number_brute(p, eq).value, eq
             assert count == expected_count, (p, count)
 
 
@@ -82,7 +84,7 @@ def test_criterion_3_two_power(brute_rb):
 def test_criterion_4_z9_counterexample(brute_rb):
     with criterion(
         "4: z9 coloring is rainbow-free, rb(Z_9) = 5 by brute force, and "
-        "rb_zn(9) reports NotCovered"
+        "rb_zn reports NotCovered"
     ):
         eq = Equation(9, 1, 1, 1, 0)
         c = z9_coloring()
@@ -90,20 +92,20 @@ def test_criterion_4_z9_counterexample(brute_rb):
         assert c.r == 4
         assert brute_rb(9, eq).value == 5
         with pytest.raises(NotCoveredError):
-            rb_zn(9, eq)
+            rb_zn(eq)
 
 
 @pytest.mark.slow
 def test_criterion_5_composite_formula(brute_rb):
     with criterion(
-        "5: rb_zn(10, x1+x2+x3=0) = 5 = brute force and "
-        "rb_zn(15, x1+x2+2x3=0) = 4 = brute force"
+        "5: rb_zn gives rb(Z_10, x1+x2+x3=0) = 5 = brute force and "
+        "rb(Z_15, x1+x2+2x3=0) = 4 = brute force"
     ):
         eq10 = Equation(10, 1, 1, 1, 0)
-        assert rb_zn(10, eq10).value == 5
+        assert rb_zn(eq10).value == 5
         assert brute_rb(10, eq10).value == 5
         eq15 = Equation(15, 1, 1, 2, 0)
-        assert rb_zn(15, eq15).value == 4
+        assert rb_zn(eq15).value == 4
         assert brute_rb(15, eq15).value == 4
 
 
@@ -143,36 +145,22 @@ def test_criterion_7_characterization_equivalence():
                     assert thm3_rainbow_free(c, cparam) == hg.is_rainbow_free(c.assign)
 
 
-def _all_solutions(eq: Equation):
-    n = eq.n
-    buckets: dict[int, list[int]] = {}
-    for s3 in range(n):
-        buckets.setdefault(eq.a3 * s3 % n, []).append(s3)
-    for s1 in range(n):
-        for s2 in range(n):
-            target = (eq.b - eq.a1 * s1 - eq.a2 * s2) % n
-            for s3 in buckets.get(target, ()):
-                yield (s1, s2, s3)
-
-
 def test_criterion_8a_translation_bijection():
     with criterion(
-        "8a: translating by b*(a1+a2+a3)^(-1) is a solution bijection, "
-        "exhaustive over the solution space for n <= 12"
+        "8a: translating by the least root t of (a1+a2+a3)*t = b is a "
+        "solution bijection onto b = 0, exhaustive over the solution space "
+        "for n <= 12 and every b with a root"
     ):
-        from rainbownum.equation import normalize_b_to_zero
-
         for n in range(2, 13):
             for coeffs in [(1, 1, 1), (1, 2, 3), (2, 3, 5), (1, 1, n - 1), (3, 4, 5)]:
-                probe = Equation(n, *coeffs, 0)
-                if gcd(probe.a_sum, n) != 1:
-                    continue
-                for b in range(n):
-                    eq = Equation(n, *coeffs, b)
-                    eq0, offset = normalize_b_to_zero(eq)
-                    sols = set(_all_solutions(eq))
-                    sols0 = set(_all_solutions(eq0))
-                    mapped = {tuple((x - offset) % n for x in t) for t in sols}
+                eq0 = Equation(n, *coeffs, 0)
+                sols0 = all_solutions(eq0)
+                roots = least_roots(eq0.a_sum, range(n), n)
+                for b, t in enumerate(roots):
+                    if t is None:
+                        continue
+                    sols = all_solutions(Equation(n, *coeffs, b))
+                    mapped = {tuple((x - t) % n for x in s) for s in sols}
                     assert mapped == sols0
                     assert len(sols) == len(sols0)
 
@@ -186,7 +174,7 @@ def test_criterion_8b_rb_invariant_under_b_shift():
         for n in range(5, 11):
             for coeffs in [(1, 1, 1), (1, 2, 3)]:
                 base_eq = Equation(n, *coeffs, 0)
-                shifted = {base_eq.shift_b(k) for k in range(n)}
+                shifted = {shift_b(base_eq, k) for k in range(n)}
                 values = {rainbow_number_brute(n, e).value for e in shifted}
                 assert len(values) == 1, (n, coeffs, values)
 
@@ -225,7 +213,7 @@ def test_criterion_8d_residue_propagation():
                         continue
                     eq = Equation(n, *coeffs, b)
                     third: dict[tuple[int, int], set[int]] = {}
-                    for s1, s2, s3 in _all_solutions(eq):
+                    for s1, s2, s3 in all_solutions(eq):
                         third.setdefault((s1 % u, s2 % u), set()).add(s3 % u)
                     assert all(len(v) == 1 for v in third.values()), (u, t, coeffs)
 

@@ -14,13 +14,17 @@ from rainbownum import (
 )
 from rainbownum.characterize import (
     interval_decomposition,
-    is_arithmetic_progression,
     thm6_singleton_necessary,
 )
 from rainbownum.constructions import symmetric_interval_coloring
 
 SYM5 = Coloring.from_classes(5, [{0}, {1, 4}, {2, 3}])
 RAINBOWY5 = Coloring.from_classes(5, [{0}, {1}, {2, 3, 4}])
+
+
+def is_arithmetic_progression(s, d: int, p: int) -> bool:
+    """Is s = {beta, beta + d, ..., beta + k*d} mod p for some beta?"""
+    return any({(beta + k * d) % p for k in range(len(s))} == set(s) for beta in s)
 
 
 class TestIntervalHelpers:

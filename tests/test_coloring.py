@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 from palette import NotProjectableError, palette_view, project_palette_coloring
+from solutions import shift_b
 
 from rainbownum import (
     BadPartitionError,
@@ -170,7 +171,7 @@ class TestFindRainbow:
             c = random_coloring(rng, n, rng.randrange(3, 5))
             eq = Equation(n, 1, rng.randrange(1, n), rng.randrange(1, n), rng.randrange(n))
             for k in range(n):
-                lhs = find_rainbow(c, eq.shift_b(k)).rainbow_free
+                lhs = find_rainbow(c, shift_b(eq, k)).rainbow_free
                 rhs = find_rainbow(c.translate(k), eq).rainbow_free
                 assert lhs == rhs
 

@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
+from solutions import all_solutions, shift_b
 
 from rainbownum import (
     Equation,
@@ -9,7 +10,7 @@ from rainbownum import (
     NotDivisorError,
     dilation_values,
 )
-from rainbownum.equation import normalize_b_to_zero
+from rainbownum.modring import least_roots
 
 
 class TestEquationBasics:
@@ -39,16 +40,18 @@ class TestEquationBasics:
 
 
 class TestShiftB:
+    """The tests' helper for right sides b + (a1+a2+a3)*k."""
+
     def test_basic_shift(self):
-        assert Equation(5, 1, 1, 1, 0).shift_b(1) == Equation(5, 1, 1, 1, 3)
+        assert shift_b(Equation(5, 1, 1, 1, 0), 1) == Equation(5, 1, 1, 1, 3)
 
     def test_zero_shift_is_identity(self):
         eq = Equation(11, 2, 3, 5, 7)
-        assert eq.shift_b(0) == eq
+        assert shift_b(eq, 0) == eq
 
     def test_shift_vanishes_when_sum_is_zero(self):
         eq = Equation(5, 1, 1, 3, 2)
-        assert eq.shift_b(2) == eq
+        assert shift_b(eq, 2) == eq
 
 
 class TestReduceMod:
@@ -91,50 +94,33 @@ class TestDilationValues:
             assert (val * ai + aj) % p == 0
 
 
-def _all_solutions(eq):
-    # bucket s3 by a3*s3 so enumeration is n^2 + |solutions|, not n^3
-    n = eq.n
-    buckets = {}
-    for s3 in range(n):
-        buckets.setdefault(eq.a3 * s3 % n, []).append(s3)
-    out = set()
-    for s1 in range(n):
-        for s2 in range(n):
-            target = (eq.b - eq.a1 * s1 - eq.a2 * s2) % n
-            for s3 in buckets.get(target, ()):
-                out.add((s1, s2, s3))
-    return out
-
-
 class TestNormalizeBToZero:
+    """x -> x - t, with t the least root of (a1+a2+a3)*t = b, carries the
+    solutions of eq onto those of the same coefficients with b = 0."""
+
     def test_example_mod5(self):
-        eq0, offset = normalize_b_to_zero(Equation(5, 1, 1, 1, 3))
-        assert eq0 == Equation(5, 1, 1, 1, 0)
-        assert offset == 1
+        assert least_roots(3, [3], 5) == [1]
 
     def test_b_zero_is_fixed_point(self):
-        eq = Equation(7, 1, 1, 1, 0)
-        assert normalize_b_to_zero(eq) == (eq, 0)
+        assert least_roots(Equation(7, 1, 1, 1, 0).a_sum, [0], 7) == [0]
 
-    def test_non_unit_sum_raises(self):
-        with pytest.raises(NonUnitError):
-            normalize_b_to_zero(Equation(5, 1, 1, 3, 2))
+    def test_no_root_gives_none(self):
+        # 1 + 1 + 3 = 0 mod 5, so no translation reaches b = 2
+        assert least_roots(Equation(5, 1, 1, 3, 2).a_sum, [2], 5) == [None]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_solution_bijection_exhaustive(self, n):
-        # the map x -> x - offset must carry solutions onto solutions, both ways
+        # the map x -> x - t must carry solutions onto solutions, both ways
         triples = [(1, 1, 1), (1, 2, 3), (2, 3, 5), (1, 1, n - 1), (3, 4, 5)]
         for a1, a2, a3 in triples:
-            eq_any = Equation(n, a1, a2, a3, 0)
-            if gcd(eq_any.a_sum, n) != 1:
-                continue
-            for b in range(n):
-                eq = Equation(n, a1, a2, a3, b)
-                eq0, offset = normalize_b_to_zero(eq)
-                sols = _all_solutions(eq)
-                sols0 = _all_solutions(eq0)
+            eq0 = Equation(n, a1, a2, a3, 0)
+            sols0 = all_solutions(eq0)
+            for b, t in enumerate(least_roots(eq0.a_sum, range(n), n)):
+                if t is None:
+                    continue
+                sols = all_solutions(Equation(n, a1, a2, a3, b))
                 mapped = {
-                    tuple((x - offset) % n for x in t) for t in sols
+                    tuple((x - t) % n for x in s) for s in sols
                 }
                 assert mapped == sols0
                 assert len(sols) == len(sols0)
@@ -180,7 +166,7 @@ class TestResiduePropagation:
                     continue
                 eq = Equation(n, a1, a2, a3, b)
                 third = {}
-                for s1, s2, s3 in _all_solutions(eq):
+                for s1, s2, s3 in all_solutions(eq):
                     third.setdefault((s1 % u, s2 % u), set()).add(s3 % u)
                 for residues in third.values():
                     assert len(residues) == 1

@@ -30,6 +30,23 @@ class TestTryInverse:
                 modring.try_inverse(a, n)
 
 
+class TestLeastRoots:
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_matches_plain_scan_exhaustively(self, n):
+        # every a in 0..n-1 and every c in -n..n-1
+        cs = range(-n, n)
+        for a in range(n):
+            scan = [
+                next((t for t in range(n) if (a * t - c) % n == 0), None)
+                for c in cs
+            ]
+            assert modring.least_roots(a, cs, n) == scan, a
+
+    def test_rejects_tiny_modulus(self):
+        with pytest.raises(ValueError):
+            modring.least_roots(1, [0], 1)
+
+
 class TestIsUnit:
     def test_units_list(self):
         assert modring.units(12) == [1, 5, 7, 11]

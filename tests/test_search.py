@@ -10,6 +10,7 @@ from types import CodeType
 
 import pytest
 import reference_search
+from solutions import shift_b
 
 import rainbownum
 from rainbownum import (
@@ -279,7 +280,7 @@ class TestRainbowNumberBrute:
             eq = Equation(n, 1, 2, 3, 0)
             base = rainbow_number_brute(n, eq).value
             for k in range(n):
-                assert rainbow_number_brute(n, eq.shift_b(k)).value == base
+                assert rainbow_number_brute(n, shift_b(eq, k)).value == base
 
 
 class TestOneLiftPerAnswer:
