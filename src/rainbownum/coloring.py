@@ -3,7 +3,11 @@
 Rainbow detection (find_rainbow) tests each ordered pair of colors from its
 smaller class on bitsets held in Python ints: for an r-coloring of Z_n,
 sum over l1 != c3 of min(|class l1|, |class c3|) operations on n-bit ints
-(at most n*(r - 1)), plus a bitset build of O(n^2) digit operations.
+(at most n*(r - 1)), plus a bitset build.  The build takes O(n) Python
+steps and shifts only the residues outside the largest class, of size m,
+into n-bit ints, O((n - m)*n) digit operations, when the map's
+coefficient is a unit mod n (the class images then partition Z_n, so the
+largest one is the complement of the rest), and O(n^2) otherwise.
 Only when a rainbow exists does a row scan name its first entry, followed
 by an O(n) scan of that row.  rainbow_solutions lists solutions in
 O(n^2 + #solutions) and backs the search's hypergraph.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from . import modring
@@ -162,19 +167,45 @@ def rainbow_solutions(
                     yield (s1, s2, s3)
 
 
+def _image_bitsets(
+    members: list[list[int]], coef: int, offset: int, n: int, big: int
+) -> list[int]:
+    """Per class xs of members, the bitset of {offset + coef*x : x in xs}.
+
+    When coef is a unit mod n the map is a bijection of Z_n, so the images
+    of the classes partition Z_n and the image of class big is the
+    complement of the union of the others: only the residues outside
+    class big are shifted in.  Otherwise every class is built by shifts.
+    """
+    skip = members[big] if gcd(coef, n) == 1 else None
+    out = []
+    rest = 0
+    for xs in members:
+        bits = 0
+        if xs is not skip:
+            for x in xs:
+                bits |= 1 << ((offset + coef * x) % n)
+            rest |= bits
+        out.append(bits)
+    if skip is not None:
+        out[big] = ((1 << n) - 1) ^ rest
+    return out
+
+
 def _first_rainbow_row(eq: Equation, labels: Sequence[int], r: int) -> int | None:
     """The least s1 that starts a rainbow solution under labels 0..r-1, or
-    None; the pair test and the row test are proved in find_rainbow."""
+    None; the pair test, the row test and the build are proved in
+    find_rainbow."""
     n = eq.n
     a1, a2, a3, b = eq.a1, eq.a2, eq.a3, eq.b
     full = (1 << n) - 1
-    U = [0] * r
-    W = [0] * r
     members: list[list[int]] = [[] for _ in range(r)]
     for x, c in enumerate(labels):
-        U[c] |= 1 << (a2 * x % n)
-        W[c] |= 1 << (-a3 * x % n)
         members[c].append(x)
+    big = members.index(max(members, key=len))
+    U = _image_bitsets(members, a2, 0, n, big)
+    W = _image_bitsets(members, -a3, 0, n, big)
+    T: list[int] = []
     cov1 = cov2 = cov3 = 0
     for u in U:
         cov3 |= cov2 & u
@@ -186,9 +217,9 @@ def _first_rainbow_row(eq: Equation, labels: Sequence[int], r: int) -> int | Non
     by_color = [(c3, w | w << n, full & ~u) for c3, (u, w) in enumerate(zip(U, W))]
 
     def some_pair_hits() -> bool:
-        # the pair test of find_rainbow; t is T_l1, built on first need
+        # the pair test of find_rainbow; T is built on first need
         for l1, rows in enumerate(members):
-            p, d, k, t = P[l1], D[l1], len(rows), 0
+            p, d, k = P[l1], D[l1], len(rows)
             for c3, ww, not_u in by_color:
                 if c3 == l1 or not (x := p | d & not_u):
                     continue
@@ -198,9 +229,9 @@ def _first_rainbow_row(eq: Equation, labels: Sequence[int], r: int) -> int | Non
                         if ww >> (n - (b - a1 * s1) % n) & x:
                             return True
                     continue
-                if not t:
-                    for s1 in rows:
-                        t |= 1 << ((b - a1 * s1) % n)
+                if not T:
+                    T.extend(_image_bitsets(members, -a1, b, n, big))
+                t = T[l1]
                 xx = x | x << n
                 for y in cols:
                     if xx >> (-a3 * y % n) & t:
@@ -229,10 +260,10 @@ def find_rainbow(coloring: Coloring, eq: Equation) -> RainbowReport:
     find its row s1; rainbow_solutions then lists that row alone.  A
     rainbow-free coloring costs sum over l1 != c3 of min(|class l1|,
     |class c3|) operations on n-bit ints (at most n*(r - 1), and far fewer
-    when one class holds most of Z_n) plus a build of O(n) ors into n-bit
-    ints (O(n^2) digit operations), where listing every row costs O(n^2)
-    Python steps.  When a rainbow exists, the row test below then runs up
-    to the witness row, followed by an O(n) scan of that row.
+    when one class holds most of Z_n) plus the build below, where listing
+    every row costs O(n^2) Python steps.  When a rainbow exists, the row
+    test below then runs up to the witness row, followed by an O(n) scan
+    of that row.
 
     The row test.  Let t = b - a1*s1 and l1 the color of s1.  For each
     color c put U_c = {a2*x : color(x) = c} and W_c = {-a3*x : color(x) =
@@ -265,11 +296,22 @@ def find_rainbow(coloring: Coloring, eq: Equation) -> RainbowReport:
     w = -a3*y for each y of color c3 and meeting the bitset T_l1, since
     t + w lies in X iff t lies in X - w.  With XX = X | X << n, bit v of
     XX >> w is bit (v + w) mod n of X for 0 <= v < n, and T_l1 has no bit
-    from n up.  T_l1 is built once per l1, and only for an l1 that some
-    pair tests from the c3 side, so the builds add O(n) shifts.  When no
-    pair holds a rainbow solution the coloring is rainbow-free; else the
-    row test runs over s1 = 0, 1, ... to name the least row, so the
-    witness is the one a row test alone would give.
+    from n up.  The bitsets T_l of every color are built together, the
+    first time some pair is tested from the c3 side.  When no pair holds
+    a rainbow solution the coloring is rainbow-free; else the row test
+    runs over s1 = 0, 1, ... to name the least row, so the witness is the
+    one a row test alone would give.
+
+    The build.  U, W and T are the images of the color classes under the
+    maps f(x) = a2*x, f(x) = -a3*x and f(x) = b - a1*x.  The classes are
+    listed first, in O(n) Python steps, and the largest, of size m, is
+    chosen once.  When the coefficient of f is a unit mod n, f is a
+    bijection of Z_n, so the images of the classes are disjoint and cover
+    Z_n: they partition Z_n.  The image of the largest class is then the
+    complement in Z_n of the union of the others, and only the n - m
+    residues outside it are shifted into n-bit ints, O((n - m)*n) digit
+    operations.  Otherwise two classes may share an image value, and each
+    class is built by shifts, O(n^2) digit operations.
     """
     if coloring.n != eq.n:
         raise ModulusMismatchError(

@@ -304,6 +304,43 @@ class TestRowKernel:
                 free += witness is None
         assert free > 10
 
+    def test_image_bitsets_every_branch(self):
+        # the build takes the largest class's bitset as a complement exactly
+        # when the map's coefficient is a unit: each of a1, a2, a3 is drawn
+        # a unit or a non-unit (0 in the first draw) in every combination,
+        # b != 0 so that T's offset counts, and the colorings have one
+        # class, one dominant class, a tie for the largest class, or random
+        # classes.  Non-unit coefficients with a common factor that b lacks
+        # leave the equation without solutions, so every coloring is
+        # rainbow-free; there a complement taken for a non-unit would
+        # invent a rainbow
+        rng = random.Random(2700)
+        free = witnesses = 0
+        for n in (6, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 24, 25, 27, 30):
+            units = [a for a in range(n) if gcd(a, n) == 1]
+            non_units = [a for a in range(n) if gcd(a, n) != 1]
+            for kinds in product((units, non_units), repeat=3):
+                for draw in range(3):
+                    coeffs = [0 if draw == 0 and kind is non_units else rng.choice(kind)
+                              for kind in kinds]
+                    eq = Equation(n, *coeffs, rng.randrange(1, n))
+                    r = rng.randrange(3, n // 3 + 3)
+                    dominant = [0] * n
+                    for color, x in enumerate(rng.sample(range(n), r - 1)):
+                        dominant[x] = color + 1
+                    k = (n - r + 2) // 2
+                    tie = [0] * k + [1] * k + list(range(2, r))
+                    tie += [r - 1] * (n - len(tie))
+                    rng.shuffle(tie)
+                    for c in (Coloring((0,) * n), Coloring(tuple(dominant)),
+                              Coloring(tuple(tie)), coloring_with_r(rng, n, r)):
+                        witness = first_rainbow(c, eq)
+                        assert find_rainbow(c, eq).witness == witness, (eq, c.assign)
+                        if c.r >= 3:
+                            free += witness is None
+                            witnesses += witness is not None
+        assert free > 60 and witnesses > 800
+
     @pytest.mark.parametrize(
         "assign, eq, pair",
         [

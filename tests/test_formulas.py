@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import gcd
@@ -5,12 +6,14 @@ from math import gcd
 import pytest
 
 from rainbownum import (
+    Coloring,
     Equation,
     NotCoveredError,
     find_rainbow,
     rb_formula,
     rb_zp,
 )
+from rainbownum.coloring import rainbow_solutions
 from rainbownum.formulas import (
     PROV_CONVENTION_Z2,
     PROV_EQUAL_COEFFS,
@@ -119,6 +122,44 @@ class TestRbTwoPower:
         assert res.value == 5
         assert res.witness is not None and res.witness.r == 4
         assert find_rainbow(res.witness, eq).rainbow_free
+
+
+class TestLargeWitnesses:
+    """Formula answers with n near 10^4 carry witnesses that find_rainbow
+    re-verifies: equal coefficients with b = 0 at two primes, odd
+    coefficients at 2^13."""
+
+    @pytest.mark.parametrize("p", [9973, 10007])
+    def test_equal_coefficients_at_a_prime(self, p):
+        rng = random.Random(p)
+        for _ in range(3):
+            a = rng.randrange(1, p)
+            eq = Equation(p, a, a, a, 0)
+            res = rb_formula(eq)
+            assert res.value == 4
+            assert res.witness.r == res.value - 1
+            assert find_rainbow(res.witness, eq).rainbow_free
+
+    def test_odd_coefficients_at_two_to_the_13(self):
+        rng = random.Random(8192)
+        for _ in range(3):
+            eq = Equation(8192, *(rng.randrange(1, 8192, 2) for _ in range(3)),
+                          rng.randrange(8192))
+            res = rb_formula(eq)
+            assert res.value == 15
+            assert res.witness.r == res.value - 1
+            assert find_rainbow(res.witness, eq).rainbow_free
+
+    def test_recolored_residue_at_a_prime(self):
+        # residue 2 leaves the largest class for the class of 0, which makes
+        # (2, 1, -3) a rainbow solution of x1 + x2 + x3 = 0
+        eq = Equation(10007, 5, 5, 5, 0)
+        assign = list(rb_formula(eq).witness.assign)
+        assign[2] = assign[0]
+        recolored = Coloring(tuple(assign))
+        witness = find_rainbow(recolored, eq).witness
+        assert witness is not None
+        assert witness == next(rainbow_solutions(eq, recolored.assign))
 
 
 class TestRbZn:
