@@ -120,7 +120,7 @@ def cmd_rb(args) -> int:
                 "n": eq.n, "coefficients": list(eq.coeffs), "rhs": eq.b,
                 "method": method, "rb_value": None if refused else outcome.value,
                 "provenance": None if refused else outcome.provenance,
-                "witness_path": None, "elapsed_ms": round(ms, 3),
+                "elapsed_ms": round(ms, 3),
                 "status": "not-covered" if refused else "ok",
                 "reason": outcome.reason if refused else None}))
         elif refused:

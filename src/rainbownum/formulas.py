@@ -4,7 +4,10 @@ Each rule either returns an RbResult or raises NotCoveredError naming the
 failed condition; nothing here ever falls back to the search oracle
 silently (the Z_9 instance of x1 + x2 + x3 = 0 shows the composite formula
 is genuinely partial).  A witness coloring attached to a result is
-re-verified rainbow-free with exactly value - 1 colors before return.
+checked once, by _with_witness, against the result's own equation: it must
+have exactly value - 1 colors and find_rainbow must find it rainbow-free.
+The constructors that build it do not check it themselves; their proofs
+live in the rainbownum.constructions docstrings.
 """
 
 from __future__ import annotations

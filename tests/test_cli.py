@@ -52,15 +52,13 @@ class TestRb:
         for line in lines:
             rec = json.loads(line)
             assert list(rec) == ["n", "coefficients", "rhs", "method", "rb_value",
-                                 "provenance", "witness_path", "elapsed_ms",
-                                 "status", "reason"]
+                                 "provenance", "elapsed_ms", "status", "reason"]
             assert rec["n"] == 8
             assert rec["coefficients"] == [1, 1, 1]
             assert rec["rhs"] == 0
             assert rec["rb_value"] == 5
             assert rec["method"] in ("formula", "brute")
             assert rec["elapsed_ms"] >= 0
-            assert rec["witness_path"] is None
 
     def test_json_not_covered_marker(self, capsys):
         code = run("rb", "--modulus", "9", "--coeffs", "1,1,1", "--rhs", "0",

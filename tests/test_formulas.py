@@ -9,11 +9,18 @@ from rainbownum import (
     Coloring,
     Equation,
     NotCoveredError,
+    constructions,
     find_rainbow,
+    formulas,
     rb_formula,
     rb_zp,
 )
 from rainbownum.coloring import rainbow_solutions
+from rainbownum.constructions import (
+    symmetric_interval_coloring,
+    two_power_coloring,
+    z9_coloring,
+)
 from rainbownum.formulas import (
     PROV_CONVENTION_Z2,
     PROV_EQUAL_COEFFS,
@@ -124,10 +131,45 @@ class TestRbTwoPower:
         assert find_rainbow(res.witness, eq).rainbow_free
 
 
+class TestOneCheckPerAnswer:
+    """A witness is checked once, against the answer's own equation; the
+    constructors that build it do not check it themselves."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for module in (formulas, constructions):
+            def counting(c, eq, _inner=module.find_rainbow):
+                calls.append(eq)
+                return _inner(c, eq)
+            monkeypatch.setattr(module, "find_rainbow", counting)
+        return calls
+
+    @pytest.mark.parametrize("eq", [
+        Equation(1024, 3, 5, 7, 11),
+        Equation(1024, 1, 1, 1, 0),
+        Equation(997, 1, 1, 1, 0),
+        Equation(997, 5, 5, 5, 0),
+    ], ids=lambda eq: f"{eq.n}-{eq.a1},{eq.a2},{eq.a3}-{eq.b}")
+    def test_one_call_per_witness_answer(self, calls, eq):
+        res = rb_formula(eq)
+        assert res.witness is not None
+        assert calls == [eq]
+
+    @pytest.mark.parametrize("build", [
+        lambda: symmetric_interval_coloring(101),
+        lambda: two_power_coloring(4),
+        z9_coloring,
+    ], ids=["symmetric-interval-101", "two-power-4", "z9"])
+    def test_constructors_alone_make_no_call(self, calls, build):
+        build()
+        assert calls == []
+
+
 class TestLargeWitnesses:
     """Formula answers with n near 10^4 carry witnesses that find_rainbow
     re-verifies: equal coefficients with b = 0 at two primes, odd
-    coefficients at 2^13."""
+    coefficients at 2^13 and 2^14."""
 
     @pytest.mark.parametrize("p", [9973, 10007])
     def test_equal_coefficients_at_a_prime(self, p):
@@ -149,6 +191,13 @@ class TestLargeWitnesses:
             assert res.value == 15
             assert res.witness.r == res.value - 1
             assert find_rainbow(res.witness, eq).rainbow_free
+
+    def test_odd_coefficients_at_two_to_the_14(self):
+        eq = Equation(2**14, 3, 5, 7, 11)
+        res = rb_formula(eq)
+        assert res.value == 16
+        assert res.witness.r == 15
+        assert find_rainbow(res.witness, eq).rainbow_free
 
     def test_recolored_residue_at_a_prime(self):
         # residue 2 leaves the largest class for the class of 0, which makes
