@@ -10,7 +10,7 @@ coefficient is a unit mod n (the class images then partition Z_n, so the
 largest one is the complement of the rest), and O(n^2) otherwise.
 Only when a rainbow exists does a row scan name its first entry, followed
 by an O(n) scan of that row.  rainbow_solutions lists solutions in
-O(n^2 + #solutions) and backs the search's hypergraph.
+O(n^2 + #solutions); find_rainbow reads its witness from it.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from . import modring
-from .coloring import Coloring, find_rainbow, rainbow_solutions
+from .coloring import Coloring, find_rainbow
 from .equation import Equation
 from .errors import CapExceededError, ConsistencyError, ModulusMismatchError
 from .formulas import PROV_BRUTE, RbResult
@@ -128,18 +128,45 @@ class RainbowHypergraph:
 
 
 def build_hypergraph(eq: Equation) -> RainbowHypergraph:
-    """All unordered {s1, s2, s3} with distinct entries solving eq in some order:
-    the solutions from rainbow_solutions under the identity labels, sorted."""
+    """All unordered {s1, s2, s3} with distinct entries solving eq in some
+    order, as sorted 3-tuples in lexicographic order.
+
+    The edge set does not depend on the order of the coefficients:
+    (s1, s2, s3) solves a1*x1 + a2*x2 + a3*x3 = b iff its entries, permuted
+    like the coefficients, solve the permuted equation.  So the
+    coefficients are sorted, an equal pair, if any, is moved to slots 1
+    and 2, and s3 is read from buckets keyed by a3*s3 mod n.  When
+    a1 = a2, swapping s1 and s2 maps solutions to solutions, so every edge
+    has a solution with s1 < s2 (its entries are distinct) and only those
+    pairs are tried.  When a1 = a2 = a3 every permutation does, so an
+    edge's sorted entries solve eq, and listing s1 < s2 < s3 alone finds
+    each edge exactly once.  Otherwise one edge may come from several
+    solutions and is kept once.
+    """
+    n, b = eq.n, eq.b
+    a1, a2, a3 = sorted(eq.coeffs)
+    if a2 == a3:
+        a1, a3 = a3, a1
+    by_value: list[list[int]] = [[] for _ in range(n)]
+    for s3 in range(n):
+        by_value[a3 * s3 % n].append(s3)
+    pair, triple = a1 == a2, a1 == a2 == a3
     edges = set()
-    for u, v, w in rainbow_solutions(eq, range(eq.n)):
-        if u > v:
-            u, v = v, u
-        if v > w:
-            v, w = w, v
-            if u > v:
-                u, v = v, u
-        edges.add((u, v, w))
-    return RainbowHypergraph(eq.n, tuple(sorted(edges)))
+    for s1 in range(n):
+        rest = b - a1 * s1
+        others = range(s1 + 1, n) if pair else [*range(s1), *range(s1 + 1, n)]
+        for s2 in others:
+            u, v = (s1, s2) if s1 < s2 else (s2, s1)
+            for s3 in by_value[(rest - a2 * s2) % n]:
+                if s3 > v:
+                    edges.add((u, v, s3))
+                elif triple:
+                    continue
+                elif s3 < u:
+                    edges.add((s3, u, v))
+                elif u < s3 < v:
+                    edges.add((u, s3, v))
+    return RainbowHypergraph(n, tuple(sorted(edges)))
 
 
 def iter_exact_partitions(n: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -179,7 +206,8 @@ def _element_order(n: int, edges) -> list[int]:
     ``completed[y]`` counts the edges of y whose other two elements are in
     the prefix; it grows only when the second of those two joins, so each
     step adds ``(maxdeg + 1) * n`` to the scores along the edges of the
-    element just placed.
+    element just placed.  A placed element's score drops to -1, below every
+    other, so the next pick is the index of the largest score.
     """
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in edges:
@@ -189,17 +217,16 @@ def _element_order(n: int, edges) -> list[int]:
     degree = [len(others) for others in incident]
     step = (max(degree, default=0) + 1) * n
     score = [degree[x] * n + n - 1 - x for x in range(n)]
-    left = set(range(n))
+    placed = [False] * n
     order: list[int] = []
     for _ in range(n):
-        best = max(left, key=score.__getitem__)
-        left.remove(best)
+        best = score.index(max(score))
+        score[best] = -1
+        placed[best] = True
         order.append(best)
         for y, z in incident[best]:
-            if y in left and z not in left:
-                score[y] += step
-            elif z in left and y not in left:
-                score[z] += step
+            if placed[y] is not placed[z]:
+                score[z if placed[y] else y] += step
     return order
 
 
@@ -232,16 +259,17 @@ def _independent(cand: int, adj: Sequence[int], need: int) -> bool:
     drop it.  Every other candidate lies above it, so its neighbors above
     it are all the branch needs.  With at most one neighbor u left some
     largest independent set holds it (swap u for it), so taking it decides.
-    A branch with fewer candidates than ``need`` is cut.
+    A branch with fewer candidates than ``need`` is cut, and ``need`` = 1
+    holds iff a candidate is left, which is tested in place of a call.
     """
-    if need <= 0:
-        return True
+    if need <= 1:
+        return need <= 0 or cand != 0
     if cand.bit_count() < need:
         return False
     low = cand & -cand
     rest = cand ^ low
     nbrs = rest & adj[low.bit_length() - 1]
-    if _independent(rest ^ nbrs, adj, need - 1):
+    if (rest != nbrs) if need == 2 else _independent(rest ^ nbrs, adj, need - 1):
         return True
     return nbrs & (nbrs - 1) != 0 and _independent(rest, adj, need)
 

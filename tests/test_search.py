@@ -4,7 +4,8 @@ import random
 import re
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import gcd
 from pathlib import Path
 from types import CodeType
 
@@ -122,18 +123,37 @@ class TestHypergraph:
                     assert e == tuple(sorted(e))
 
     def test_matches_cubic_enumeration(self):
-        rng = random.Random(99)
+        # every equation with n < 8, then seeded ones up to n = 40 in each
+        # coefficient shape the enumeration tells apart: all equal, an
+        # equal pair in each pair of slots, all distinct; values are drawn
+        # as zero, a non-unit or any residue
         eqs = [Equation(n, *t) for n in range(2, 8) for t in product(range(n), repeat=4)]
-        for _ in range(40):
-            n = rng.randrange(3, 11)
-            eqs.append(Equation(n, rng.randrange(n), rng.randrange(n), rng.randrange(n), rng.randrange(n)))
+        rng = random.Random(99)
+
+        def value(n):
+            kind = rng.randrange(3)
+            if kind == 0:
+                return 0
+            if kind == 1:
+                return rng.choice([x for x in range(n) if gcd(x, n) > 1])
+            return rng.randrange(n)
+
+        for n in [*range(8, 41, 4), 21, 27, 35, 39]:
+            for equal, distinct in [((0, 1, 2), 1), ((0, 1), 2), ((0, 2), 2),
+                                    ((1, 2), 2), ((), 3)]:
+                while True:
+                    coeffs = [value(n) for _ in range(3)]
+                    for i in equal[1:]:
+                        coeffs[i] = coeffs[equal[0]]
+                    if len(set(coeffs)) == distinct:
+                        break
+                eqs.append(Equation(n, *coeffs, rng.randrange(n)))
         for eq in eqs:
-            n = eq.n
-            want = set()
-            for t in product(range(n), repeat=3):
-                if eq.is_solution(t) and len(set(t)) == 3:
-                    want.add(tuple(sorted(t)))
-            assert set(build_hypergraph(eq).edges) == want
+            n, a1, a2, a3, b = eq.n, *eq.coeffs, eq.b
+            want = {t for t in combinations(range(n), 3)
+                    if any((a1 * x + a2 * y + a3 * z - b) % n == 0
+                           for x, y, z in permutations(t))}
+            assert build_hypergraph(eq).edges == tuple(sorted(want)), eq
 
 
 class TestIterExactPartitions:
@@ -413,7 +433,7 @@ class TestOpeningBound:
         finally:
             sys.setprofile(None)
         assert values == [4, 4, 4, 5, 6]
-        assert 0 < nodes <= 1000
+        assert nodes == 824
 
 
 class TestSymmetricStage:
