@@ -41,6 +41,8 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # the top-level parser's subparsers by name
+
     # argparse exits with status 2 on its own; route through _UsageError so
     # the exit-code protocol stays ours
     def error(self, message):
@@ -304,6 +306,7 @@ def build_parser() -> _Parser:
         description="Rainbow numbers of Z_n for a1*x1 + a2*x2 + a3*x3 = b",
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    parser.commands = sub.choices
 
     rb = sub.add_parser("rb", help="compute rb(Z_n, eq)")
     _add_common(rb)
@@ -359,8 +362,18 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        # A command's arguments all belong to its subparser, which the full
+        # parser would only call after classifying them once more itself;
+        # anything else (no arguments, -h, an unknown command) goes through
+        # the full parser, for its help text and messages.
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is not None:
+            args = command.parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             parser.print_help()
             return EXIT_USAGE

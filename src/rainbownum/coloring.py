@@ -9,8 +9,7 @@ into n-bit ints, O((n - m)*n) digit operations, when the map's
 coefficient is a unit mod n (the class images then partition Z_n, so the
 largest one is the complement of the rest), and O(n^2) otherwise.
 Only when a rainbow exists does a row scan name its first entry, followed
-by an O(n) scan of that row.  rainbow_solutions lists solutions in
-O(n^2 + #solutions); find_rainbow reads its witness from it.
+by an O(n) scan of that row for the witness.
 """
 
 from __future__ import annotations
@@ -18,11 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import modring
 from .equation import Equation, Triple
-from .errors import BadPartitionError, ModulusMismatchError
+from .errors import BadPartitionError, ConsistencyError, ModulusMismatchError
 
 
 @dataclass(frozen=True)
@@ -115,9 +114,10 @@ class Coloring:
 
 
 def save_coloring(coloring: Coloring, path) -> None:
+    # one write of json.dumps: json.dump streams through the pure-Python
+    # chunked encoder, several times slower for the same bytes
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(coloring.to_json_dict(), fh)
-        fh.write("\n")
+        fh.write(json.dumps(coloring.to_json_dict()) + "\n")
 
 
 def load_coloring(path) -> Coloring:
@@ -135,36 +135,6 @@ class RainbowReport:
     @property
     def rainbow_free(self) -> bool:
         return self.witness is None
-
-
-def rainbow_solutions(
-    eq: Equation, labels: Sequence[int], start: int = 0
-) -> Iterator[Triple]:
-    """Ordered solutions (s1, s2, s3) of eq whose entries carry pairwise
-    distinct labels and s1 >= start, in lexicographic order.
-
-    x3 is looked up in buckets keyed by a3*x3 mod n, so the cost is
-    O(n^2 + #solutions) for any coefficients, units or not; a pair (s1, s2)
-    with equal labels is skipped before its bucket is read.  With the
-    identity labels range(n) this lists the solutions with three distinct
-    entries.
-    """
-    n = eq.n
-    a1, a2, a3, b = eq.a1, eq.a2, eq.a3, eq.b
-    by_value: list[list[int]] = [[] for _ in range(n)]
-    for s3 in range(n):
-        by_value[a3 * s3 % n].append(s3)
-    for s1 in range(start, n):
-        l1 = labels[s1]
-        rest = b - a1 * s1
-        for s2 in range(n):
-            l2 = labels[s2]
-            if l1 == l2:
-                continue
-            for s3 in by_value[(rest - a2 * s2) % n]:
-                l3 = labels[s3]
-                if l3 != l1 and l3 != l2:
-                    yield (s1, s2, s3)
 
 
 def _image_bitsets(
@@ -253,11 +223,12 @@ def _first_rainbow_row(eq: Equation, labels: Sequence[int], r: int) -> int | Non
 def find_rainbow(coloring: Coloring, eq: Equation) -> RainbowReport:
     """Search for a solution of eq whose entries get three distinct colors.
 
-    The witness is the lexicographically first rainbow solution
-    (rainbow_solutions with the coloring as labels), hence deterministic.
-    Tests on bitsets held in Python ints, bit v standing for the value v
-    of Z_n, decide whether a rainbow solution exists and, if one does,
-    find its row s1; rainbow_solutions then lists that row alone.  A
+    The witness is the lexicographically first rainbow solution, hence
+    deterministic.  Tests on bitsets held in Python ints, bit v standing
+    for the value v of Z_n, decide whether a rainbow solution exists and,
+    if one does, find its row s1.  That row alone is then listed, x2
+    ascending and x3 read from buckets keyed by a3*x3 mod n, up to its
+    first (s1, x2, x3) with three distinct colors.  A
     rainbow-free coloring costs sum over l1 != c3 of min(|class l1|,
     |class c3|) operations on n-bit ints (at most n*(r - 1), and far fewer
     when one class holds most of Z_n) plus the build below, where listing
@@ -317,7 +288,19 @@ def find_rainbow(coloring: Coloring, eq: Equation) -> RainbowReport:
         raise ModulusMismatchError(
             f"coloring is mod {coloring.n} but equation is mod {eq.n}"
         )
-    s1 = _first_rainbow_row(eq, coloring.assign, coloring.r)
+    labels = coloring.assign
+    s1 = _first_rainbow_row(eq, labels, coloring.r)
     if s1 is None:
         return RainbowReport(None)
-    return RainbowReport(next(rainbow_solutions(eq, coloring.assign, s1)))
+    n, a2, a3 = eq.n, eq.a2, eq.a3
+    by_value: list[list[int]] = [[] for _ in range(n)]
+    for s3 in range(n):
+        by_value[a3 * s3 % n].append(s3)
+    l1, rest = labels[s1], eq.b - eq.a1 * s1
+    for s2 in range(n):
+        l2 = labels[s2]
+        if l2 != l1:
+            for s3 in by_value[(rest - a2 * s2) % n]:
+                if labels[s3] != l1 and labels[s3] != l2:
+                    return RainbowReport((s1, s2, s3))
+    raise ConsistencyError(f"row {s1} holds no rainbow solution")

@@ -614,9 +614,22 @@ def rainbow_number_brute(
     witness is the lifted symmetric coloring whenever the quotient reached
     value - 1.  Each stage builds its pair lists and plan once and shares
     them over its r.
+
+    A hypergraph without edges is answered without a search.  No coloring
+    can then hold a tricolored edge, so every exact r-coloring with
+    3 <= r <= n is rainbow-free and the value is n + 1.  The search would
+    end at r = n, where the only exact coloring is the all-singletons one:
+    its colors by position are 0, 1, ..., n - 1 (restricted growth forces
+    each new position to open a new color), whose lift relabels Z_n in
+    order of first appearance, the identity coloring.  That coloring is
+    lifted and re-verified here too.  At n = 2 no r is searched: the value
+    is 3 and there is no witness.
     """
     cfg = cfg or SearchConfig()
     edges, order, full = _prepare(n, eq, cfg)
+    if not edges:
+        witness = None if n < 3 else _lift(eq, n, full, range(n))
+        return RbResult(value=n + 1, provenance=PROV_BRUTE, witness=witness)
     r, last = 3, None
     for pos in (_orbit_positions(eq, order), full):
         if pos is None:

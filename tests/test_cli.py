@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -460,3 +464,64 @@ class TestParserReuse:
         assert "rainbownum" in capsys.readouterr().out
         assert main(self.RB) == 0
         assert "rb = 5" in capsys.readouterr().out
+
+
+class TestCommandDispatch:
+    """main hands a command's arguments to that command's parser alone; the
+    help texts, messages and exit codes stay those of the full parser."""
+
+    COMMANDS = ["rb", "witness", "check-coloring", "construct", "scan"]
+
+    def full_parser(self, capsys, argv):
+        """(stdout, stderr, exit code) of main as the full parser alone
+        would answer argv, up to parsing."""
+        parser = cli_module.build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except cli_module._UsageError as exc:
+            return capsys.readouterr().out, f"usage error: {exc}\n", 1
+        except SystemExit as exc:
+            return capsys.readouterr().out, "", exc.code
+        assert not hasattr(args, "func"), argv
+        return parser.format_help(), "", 1
+
+    def main_answers(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return captured.out, captured.err, code
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help(self, capsys, command):
+        out, err, code = self.full_parser(capsys, [command, "-h"])
+        assert code == 0 and out.startswith(f"usage: rainbownum {command} ")
+        assert self.main_answers(capsys, [command, "-h"]) == (out, err, code)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["rb", "--modulus", "5"],
+        ["rb", "--modulus", "x", "--coeffs", "1,1,1"],
+        ["scan", "--modulus-min", "3", "--modulus-max", "5", "--coeffs", "1,1,1",
+         "--out", "s.csv", "extra"],
+        ["construct", "--kind", "bad"],
+    ])
+    def test_full_parser_answers(self, capsys, argv):
+        want = self.full_parser(capsys, argv)
+        assert want[2] in (0, 1) and (want[0] or want[1])
+        assert self.main_answers(capsys, argv) == want
+
+    def test_module_entry_point(self, tmp_path):
+        out = tmp_path / "s.csv"
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "rainbownum.cli", "scan", "--modulus-min", "3",
+             "--modulus-max", "5", "--coeffs", "1,1,1", "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"wrote 3 rows to {out}\n"
+        with open(out) as fh:
+            assert [row["rb_brute"] for row in csv.DictReader(fh)] == ["3", "4", "4"]

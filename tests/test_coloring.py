@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 from palette import NotProjectableError, palette_view, project_palette_coloring
-from solutions import shift_b
+from solutions import rainbow_solutions, shift_b
 
 from rainbownum import (
     BadPartitionError,
@@ -20,7 +20,6 @@ from rainbownum import (
     rb_formula,
     save_coloring,
 )
-from rainbownum.coloring import rainbow_solutions
 from rainbownum.constructions import (
     product_coloring,
     symmetric_interval_coloring,
@@ -501,6 +500,12 @@ class TestJsonFormat:
         save_coloring(SYM5, path)
         assert load_coloring(path) == SYM5
         assert json.loads(path.read_text()) == {"n": 5, "colors": [0, 1, 2, 2, 1]}
+
+    def test_saved_bytes(self, tmp_path):
+        path = tmp_path / "c.json"
+        for c in (SYM5, two_power_coloring(4), symmetric_interval_coloring(97)):
+            save_coloring(c, path)
+            assert path.read_text(encoding="utf-8") == json.dumps(c.to_json_dict()) + "\n"
 
     @pytest.mark.parametrize(
         "doc",

@@ -15,7 +15,6 @@ from rainbownum import (
     rb_formula,
     rb_zp,
 )
-from rainbownum.coloring import rainbow_solutions
 from rainbownum.constructions import (
     symmetric_interval_coloring,
     two_power_coloring,
@@ -31,7 +30,7 @@ from rainbownum.formulas import (
     rb_z3,
     rb_zn,
 )
-from solutions import shift_b
+from solutions import rainbow_solutions, shift_b
 
 
 class TestRbZ3:

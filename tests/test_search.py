@@ -4,7 +4,7 @@ import random
 import re
 import subprocess
 import sys
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 from pathlib import Path
 from types import CodeType
@@ -477,6 +477,22 @@ class TestSymmetricStage:
         eq = Equation(8, 1, 1, 2, 1)
         assert _orbit_positions(eq, list(range(8))) is None
         self.check(eq)
+
+    def test_empty_hypergraph_runs_no_search(self):
+        # no edge: every coloring is rainbow-free, so rb = n + 1 with the
+        # all-singletons coloring, the identity, as witness (none at n = 2)
+        empty = [Equation(n, *t, b) for n in range(2, 13)
+                 for t in combinations_with_replacement(range(n), 3)
+                 for b in range(n) if not build_hypergraph(Equation(n, *t, b)).edges]
+        assert {eq.n for eq in empty} == set(range(2, 13))
+        for eq in empty:
+            res, calls = count_calls(["rec"], lambda: rainbow_number_brute(eq.n, eq))
+            assert calls["rec"] == 0, eq
+            assert res.value == eq.n + 1 == self.reference_rb(eq), eq
+            if eq.n == 2:
+                assert res.witness is None, eq
+            else:
+                assert res.witness.assign == tuple(range(eq.n)), eq
 
     def test_shared_plan_matches_fresh_calls(self):
         for eq in random_equations(18, 80, 5, 16):
