@@ -15,7 +15,7 @@ by an O(n) scan of that row for the witness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -29,12 +29,14 @@ class Coloring:
     """An exact r-coloring of Z_n stored densely: assign[x] is the color of x.
 
     Colors are contiguous ints 0..r-1 and every color occurs (exactness);
-    the constructor rejects anything else.  Class views are derived on
-    demand, never stored: the assignment array is the single source of
-    truth.
+    the constructor rejects anything else.  r is computed once, by that
+    validation, and takes no part in equality, hashing or repr.  Class
+    views are derived on demand, never stored: the assignment array is
+    the single source of truth.
     """
 
     assign: tuple[int, ...]
+    r: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "assign", tuple(self.assign))
@@ -46,14 +48,11 @@ class Coloring:
             raise BadPartitionError(
                 f"colors must be contiguous from 0 and all used, got {sorted(used)}"
             )
+        object.__setattr__(self, "r", len(used))
 
     @property
     def n(self) -> int:
         return len(self.assign)
-
-    @property
-    def r(self) -> int:
-        return max(self.assign) + 1
 
     @classmethod
     def from_classes(cls, n: int, classes: Iterable[Iterable[int]]) -> Coloring:
@@ -81,8 +80,8 @@ class Coloring:
 
     def translate(self, k: int) -> Coloring:
         """The coloring x -> c(x + k); exactness is preserved."""
-        n = self.n
-        return Coloring(tuple([self.assign[(x + k) % n] for x in range(n)]))
+        k %= self.n
+        return Coloring(self.assign[k:] + self.assign[:k])
 
     def dilate(self, d: int) -> Coloring:
         """The coloring whose classes are d*A for each class A of this one,

@@ -35,7 +35,10 @@ def symmetric_interval_coloring(p: int) -> Coloring:
     """
     if p < 5 or not modring.is_prime(p):
         raise BadModulusError(f"need a prime >= 5, got {p}")
-    return Coloring.from_classes(p, [{0}, {1, p - 1}, set(range(2, p - 1))])
+    assign = [2] * p
+    assign[0] = 0
+    assign[1] = assign[-1] = 1
+    return Coloring(tuple(assign))
 
 
 def two_power_coloring(alpha: int) -> Coloring:
@@ -57,7 +60,8 @@ def two_power_coloring(alpha: int) -> Coloring:
     assign = [0, 1]
     for level in range(2, alpha + 1):
         prev = assign
-        assign = [level if x % 2 else prev[x // 2] for x in range(2 ** level)]
+        assign = [level] * (2 * len(prev))
+        assign[::2] = prev
     return Coloring(tuple(assign))
 
 
@@ -83,8 +87,7 @@ def product_coloring(cp: Coloring, ct: Coloring, eq: Equation) -> Coloring:
         raise BadWitnessError(f"equation modulus {eq.n} is not {p} * {t}")
     if eq.b != 0:
         raise BadWitnessError("product construction requires right side 0")
-    zero_class = [x for x in range(p) if cp.assign[x] == cp.assign[0]]
-    if zero_class != [0]:
+    if cp.assign.count(cp.assign[0]) != 1:
         raise BadWitnessError("cp must color 0 in a class of its own")
     if cp.assign[0] != 0:
         swap = {cp.assign[0]: 0, 0: cp.assign[0]}
@@ -93,14 +96,9 @@ def product_coloring(cp: Coloring, ct: Coloring, eq: Equation) -> Coloring:
     _verify(ct, eq.reduce_mod(t), "ct")
 
     rp = cp.r
-    raw = []
-    for x in range(p * t):
-        if x % p != 0:
-            raw.append(cp.assign[x % p])
-        elif x == 0:
-            raw.append(0)
-        else:
-            raw.append(rp - 1 + ct.assign[x // p])
+    # cp colors 0 with 0, so only the nonzero multiples of p need rewriting
+    raw = list(cp.assign) * t
+    raw[p::p] = [rp - 1 + c for c in ct.assign[1:]]
     # raw colors lie in 0..rp + ct.r - 2, so this count is right exactly
     # when they are contiguous
     used = len(set(raw))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import reference_characterize
 
 from rainbownum import (
     Coloring,
@@ -29,18 +30,18 @@ def is_arithmetic_progression(s, d: int, p: int) -> bool:
 
 class TestIntervalHelpers:
     def test_decomposition_of_consecutive_blocks(self):
-        dec = interval_decomposition({0}, {1, 2, 3}, {4, 5, 6}, 7)
+        dec = interval_decomposition({0}, {1, 2, 3}, 7)
         assert (dec.t1, dec.t2, dec.t3) == (0, 1, 4)
 
     def test_wrapping_interval(self):
-        dec = interval_decomposition({6, 0}, {1, 2}, {3, 4, 5}, 7)
+        dec = interval_decomposition({6, 0}, {1, 2}, 7)
         assert (dec.t1, dec.t2, dec.t3) == (6, 1, 3)
 
     def test_non_interval_returns_none(self):
-        assert interval_decomposition({0, 2}, {1, 3}, {4, 5, 6}, 7) is None
+        assert interval_decomposition({0, 2}, {1, 3}, 7) is None
 
     def test_wrong_cyclic_order_returns_none(self):
-        assert interval_decomposition({0}, {4, 5, 6}, {1, 2, 3}, 7) is None
+        assert interval_decomposition({0}, {4, 5, 6}, 7) is None
 
     def test_ap_detection(self):
         assert is_arithmetic_progression({1, 3, 5}, 2, 7)
@@ -221,3 +222,64 @@ class TestAgainstKnownWitness:
         c = symmetric_interval_coloring(p)
         assert thm5_rainbow_free(c, 0) is True
         assert thm3_rainbow_free(c, p - 1) is True
+
+
+def _seeded_3colorings(p, count, seed):
+    """Exact 3-colorings of Z_p: a third drawn uniformly, a third made of
+    three cyclic intervals, dilated and translated at random, and a third
+    of {0} beside two symmetric classes with one residue moved at random,
+    translated at random, so that both verdicts and tied sizes occur."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 0:
+            assign = [rng.randrange(3) for _ in range(p)]
+        elif kind == 1:
+            t1, t2, t3 = sorted(rng.sample(range(p), 3))
+            base = [0 if t1 <= x < t2 else 1 if t2 <= x < t3 else 2 for x in range(p)]
+            d, k = rng.randrange(1, p), rng.randrange(p)
+            assign = [base[(d * x + k) % p] for x in range(p)]
+        else:
+            # 0 alone; each pair {x, -x} to one of the two other classes
+            base = [0] * p
+            for x in range(1, p // 2 + 1):
+                base[x] = base[p - x] = rng.randrange(1, 3)
+            base[rng.randrange(1, p)] = rng.randrange(1, 3)
+            k = rng.randrange(p)
+            assign = [base[(x + k) % p] for x in range(p)]
+        if len(set(assign)) == 3:
+            out.append(Coloring(tuple(assign)))
+    return out
+
+
+class TestAgainstReference:
+    """The package reads only the two smallest classes, ties broken by
+    color; the plain reference tests all three in every size-consistent
+    order, for every c and every b."""
+
+    @staticmethod
+    def _colorings(p):
+        if p <= 7:
+            return [Coloring(a) for a in iter_exact_partitions(p, 3)]
+        return _seeded_3colorings(p, 1000, seed=p)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_thm3_verdicts(self, p):
+        verdicts = set()
+        for c in self._colorings(p):
+            for cparam in range(1, p):
+                want = reference_characterize.thm3_rainbow_free(c, cparam)
+                assert thm3_rainbow_free(c, cparam) == want, (c.assign, cparam)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_thm5_verdicts(self, p):
+        verdicts = set()
+        for c in self._colorings(p):
+            for b in range(p):
+                want = reference_characterize.thm5_rainbow_free(c, b)
+                assert thm5_rainbow_free(c, b) == want, (c.assign, b)
+                verdicts.add(want)
+        assert verdicts == {True, False}

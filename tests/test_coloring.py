@@ -370,6 +370,28 @@ class TestTranslateDilate:
         assert SYM5.translate(0) == SYM5
         assert SYM5.translate(2).translate(3) == SYM5
 
+    def test_translate_matches_definition(self):
+        rng = random.Random(31)
+        for n, r in [(2, 2), (5, 3), (12, 4), (31, 5)]:
+            c = random_coloring(rng, n, r)
+            for k in range(-2 * n, 2 * n + 1):
+                assert c.translate(k).assign == tuple(
+                    c.assign[(x + k) % n] for x in range(n)
+                ), (c, k)
+
+    def test_r_is_color_count(self):
+        rng = random.Random(32)
+        for n in range(2, 40):
+            for r in range(1, min(n, 6) + 1):
+                c = random_coloring(rng, n, r)
+                assert c.r == max(c.assign) + 1
+        assert Coloring((0, 0, 0)).r == 1
+
+    def test_r_not_in_equality_hash_or_repr(self):
+        assert "r=" not in repr(SYM5)
+        assert {SYM5: 1}[Coloring.from_classes(5, [{0}, {1, 4}, {2, 3}])] == 1
+        assert SYM5 == Coloring(SYM5.assign)
+
     def test_dilate_classes(self):
         assert SYM5.dilate(2).color_classes() == [
             frozenset({0}),

@@ -23,6 +23,31 @@ from rainbownum.modring import is_prime, is_symmetric
 PRIMES = [p for p in range(5, 250) if is_prime(p)]
 
 
+def two_power_reference(alpha):
+    """c_alpha by its recursive rule, one residue at a time."""
+    if alpha == 1:
+        return [0, 1]
+    prev = two_power_reference(alpha - 1)
+    return [alpha if x % 2 else prev[x // 2] for x in range(2**alpha)]
+
+
+def product_reference(cp, ct):
+    """The product coloring of product_coloring's docstring, one residue at
+    a time, with cp's zero class re-indexed to color 0."""
+    p, t = cp.n, ct.n
+    zero = cp.assign[0]
+    base = [0 if c == zero else zero if c == 0 else c for c in cp.assign]
+    raw = []
+    for x in range(p * t):
+        if x % p != 0:
+            raw.append(base[x % p])
+        elif x == 0:
+            raw.append(0)
+        else:
+            raw.append(cp.r - 1 + ct.assign[x // p])
+    return tuple(raw)
+
+
 class TestSymmetricInterval:
     def test_p5(self):
         assert symmetric_interval_coloring(5).color_classes() == [
@@ -38,6 +63,12 @@ class TestSymmetricInterval:
     def test_bad_modulus(self, p):
         with pytest.raises(BadModulusError):
             symmetric_interval_coloring(p)
+
+    def test_matches_class_definition(self):
+        for p in range(5, 1000):
+            if is_prime(p):
+                want = Coloring.from_classes(p, [{0}, {1, p - 1}, set(range(2, p - 1))])
+                assert symmetric_interval_coloring(p) == want, p
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_rainbow_free_and_symmetric_classes(self, p):
@@ -70,6 +101,10 @@ class TestTwoPower:
         assert c.n == n
         assert c.r == alpha + 1
         assert find_rainbow(c, Equation(n, 1, 1, 1, 0)).rainbow_free
+
+    def test_matches_recursive_rule(self):
+        for alpha in range(1, 13):
+            assert two_power_coloring(alpha).assign == tuple(two_power_reference(alpha))
 
     @pytest.mark.parametrize("alpha", range(1, 6))
     def test_rainbow_free_for_other_odd_coefficients(self, alpha):
@@ -167,6 +202,20 @@ class TestProduct:
         prod = product_coloring(cp, Coloring((0, 1)), eq14)
         assert prod.r == 4
         assert find_rainbow(prod, eq14).rainbow_free
+
+
+    def test_matches_per_residue_definition(self):
+        two = Coloring((0, 1))
+        cases = [
+            (symmetric_interval_coloring(5), two, (1, 1, 1)),
+            (symmetric_interval_coloring(5), Coloring.from_classes(3, [{0}, {1, 2}]), (1, 1, 1)),
+            (symmetric_interval_coloring(7), two, (1, 1, 1)),
+            (Coloring.from_classes(5, [{1, 4}, {2, 3}, {0}]), two, (1, 1, 1)),
+            (exists_rainbow_free(7, Equation(7, 1, 1, 6, 0), 3), two, (1, 1, 6)),
+        ]
+        for cp, ct, coeffs in cases:
+            prod = product_coloring(cp, ct, Equation(cp.n * ct.n, *coeffs, 0))
+            assert prod.assign == product_reference(cp, ct), (cp, ct)
 
 
 class TestZ9:
