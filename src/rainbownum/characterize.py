@@ -8,9 +8,12 @@ x1 + x2 - c*x3 = 0) and ``thm5`` (for x1 + x2 + x3 = b); the third check
 is the necessary singleton condition for unequal coefficients.
 
 Class roles are assigned by size, smallest first.  "Under dilation" is
-read as one unit d applied simultaneously to all three classes, and all
-p - 1 units are scanned in every condition (the permissive reading; the
-exhaustive equivalence tests against the search oracle adjudicate it).
+read as one unit d applied simultaneously to all three classes (the
+permissive reading; the exhaustive equivalence tests against the search
+oracle adjudicate it).  Only the interval conditions, thm3 case 3 and
+thm5's interval case, scan the p - 1 units, in one shared search; a
+singleton class settles every other condition without one
+(``thm3_rainbow_free`` proves this).
 
 Only the two smallest classes, A and B, are read; the largest, C, is
 never built.  Two facts make that exact.
@@ -32,11 +35,11 @@ the same verdict, so ties are broken by color.  Every reordering is a
 product of swaps of two classes of equal size, and each swap keeps the
 verdict:
   - B with C: the singleton conditions test B and C alike (above).  In
-    the interval conditions, x -> -x (the unit -d in place of d) turns
+    the interval conditions, x -> -x (the unit -u in place of u) turns
     consecutive intervals in the order A, C, B with endpoint sum t into
     intervals in the order A, B, C with sum 3 - t.  For thm3, 3 - t lies
     in {1, 2} exactly when t does; for thm5, 3 - t lies in
-    {1, 2} + (-d)^(-1) b exactly when t lies in {1, 2} + d^(-1) b.
+    {1, 2} + (-u)b exactly when t lies in {1, 2} + ub.
   - A with B, both of size >= 2: only the interval conditions apply, and
     the same reflection maps the order B, A, C to A, B, C.
   - A with B, singletons {u} and {v}: thm3 cases 1 and 2 with c = 2 would
@@ -48,24 +51,12 @@ verdict:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import modring
 from .coloring import Coloring
 from .equation import Equation
 from .errors import NotApplicableError
-
-
-@dataclass(frozen=True)
-class IntervalDecomposition:
-    """Endpoints of three cyclic intervals [t1,t2), [t2,t3), [t3,t1)
-    tiling Z_p, read after dilating the classes by d^(-1)."""
-
-    d: int
-    t1: int
-    t2: int
-    t3: int
 
 
 def _interval_start(s, p: int):
@@ -75,21 +66,31 @@ def _interval_start(s, p: int):
     return starts[0] if len(starts) == 1 else None
 
 
-def interval_decomposition(a, b, p: int, d: int = 1) -> IntervalDecomposition | None:
-    """Decompose d^(-1)A, d^(-1)B and the rest of Z_p into consecutive
-    cyclic intervals in this cyclic order, or None if they are not arranged
-    that way.  A and B are disjoint and nonempty and do not cover Z_p; the
-    rest is then an interval whenever A and B are consecutive ones."""
-    dinv = modring.try_inverse(d, p)
-    a1 = {dinv * x % p for x in a}
-    b1 = {dinv * x % p for x in b}
-    t1 = _interval_start(a1, p)
+def interval_decomposition(a, b, p: int) -> tuple[int, int, int] | None:
+    """Endpoints (t1, t2, t3) when A = [t1, t2), B = [t2, t3) and the rest
+    of Z_p = [t3, t1) are consecutive cyclic intervals in this order, else
+    None.  A and B are disjoint and nonempty sets that do not cover Z_p;
+    the rest is then an interval whenever A and B are consecutive ones."""
+    t1 = _interval_start(a, p)
     if t1 is None:
         return None
-    t2 = (t1 + len(a1)) % p
-    if _interval_start(b1, p) != t2:
+    t2 = (t1 + len(a)) % p
+    if _interval_start(b, p) != t2:
         return None
-    return IntervalDecomposition(d, t1, t2, (t2 + len(b1)) % p)
+    return t1, t2, (t2 + len(b)) % p
+
+
+def _interval_sums(a, b, p: int):
+    """Yield (u, t1 + t2 + t3 mod p) for each unit u of the prime p for
+    which uA, uB and the rest of Z_p are consecutive cyclic intervals.
+    B is dilated only for the u, at most two, that make uA an interval."""
+    for u in range(1, p):
+        ua = {u * x % p for x in a}
+        if _interval_start(ua, p) is None:
+            continue
+        dec = interval_decomposition(ua, {u * x % p for x in b}, p)
+        if dec is not None:
+            yield u, sum(dec) % p
 
 
 def _prime_3coloring(c3: Coloring) -> int:
@@ -128,40 +129,39 @@ def thm3_rainbow_free(c3: Coloring, cparam: int) -> bool:
       3) for c = -1 and |A| >= 2, the classes forming consecutive cyclic
          intervals with t1 + t2 + t3 in {1, 2}.
     C is not tested: it passes exactly when B does (module docstring).
+
+    Only case 3 scans the dilations.  The shape of A leaves one case:
+      - A = {0}: dA = {0} for every d, so only case 1 can hold, and it
+        holds for dB exactly when it holds for B, since -dB = d(-B) and
+        c(dB) = d(cB) while dilation by d is a bijection.  B is tested
+        once, undilated.
+      - A = {u}, u != 0: dA = {du} is never {0}, and is {1} only for
+        d = u^(-1), so only case 2 at that one d can hold.
+      - |A| >= 2: dA is never {0} or {1}, so only case 3 can hold, and
+        it needs c = -1.
     """
     p = _prime_3coloring(c3)
     cparam %= p
     if gcd(cparam, p) != 1:
         raise NotApplicableError(f"c = {cparam} is not a unit mod {p}")
-    a0, b0 = _two_smallest(c3)
-    inv2 = modring.try_inverse(2, p)
+    a, b = _two_smallest(c3)
     minus_one = p - 1
-    minus_two = p - 2
-
-    def shifted(s, t):
-        return {(x + t) % p for x in s}
-
-    # p is prime, so every d in 1..p-1 is a unit
-    for d in range(1, p):
-        a = {d * x % p for x in a0}
-        b = {d * x % p for x in b0}
-        if a == {0}:
-            if modring.is_symmetric(b, p) and modring.is_periodic(b, cparam, p):
-                return True
-        elif a == {1}:
-            if cparam == 2 and (
-                modring.is_symmetric(shifted(b, -1), p)
-                and modring.is_periodic(shifted(b, -1), 2, p)
-            ):
-                return True
-            if cparam == minus_one and modring.is_symmetric(
-                shifted(b - {minus_two}, inv2), p
-            ):
-                return True
-        elif len(a) >= 2 and cparam == minus_one:
-            dec = interval_decomposition(a, b, p)
-            if dec is not None and (dec.t1 + dec.t2 + dec.t3) % p in (1, 2):
-                return True
+    if len(a) >= 2:
+        sums = _interval_sums(a, b, p)
+        return cparam == minus_one and any(t in (1, 2) for _, t in sums)
+    (u,) = a
+    if u == 0:
+        return modring.is_symmetric(b, p) and modring.is_periodic(b, cparam, p)
+    # p is prime, so u is a unit; at p = 3, c = 2 is also -1
+    d = modring.try_inverse(u, p)
+    b = {d * x % p for x in b}
+    if cparam == 2:
+        b1 = {(x - 1) % p for x in b}
+        if modring.is_symmetric(b1, p) and modring.is_periodic(b1, 2, p):
+            return True
+    if cparam == minus_one:
+        inv2 = modring.try_inverse(2, p)
+        return modring.is_symmetric({(x + inv2) % p for x in b if x != p - 2}, p)
     return False
 
 
@@ -173,8 +173,10 @@ def thm5_rainbow_free(c3: Coloring, b: int) -> bool:
     classes symmetric, or all classes are arithmetic progressions with one
     common difference d arranging, after dilation by d^(-1), into
     consecutive cyclic intervals whose endpoint sum lies in
-    {1 + d^(-1) b, 2 + d^(-1) b}.  The largest class C is not tested: it
-    passes exactly when B does (module docstring).
+    {1 + d^(-1) b, 2 + d^(-1) b}.  The interval search runs over
+    u = d^(-1), which covers the units as d does, and tests the sum less
+    u*b.  The largest class C is not tested: it passes exactly when B
+    does (module docstring).
     """
     p = _prime_3coloring(c3)
     b %= p
@@ -185,16 +187,7 @@ def thm5_rainbow_free(c3: Coloring, b: int) -> bool:
         removed = (b - 2 * s) % p
         shift = (s - b) * inv2 % p
         return modring.is_symmetric({(x + shift) % p for x in bb if x != removed}, p)
-    # p is prime, so every d in 1..p-1 is a unit
-    for d in range(1, p):
-        dec = interval_decomposition(a, bb, p, d)
-        if dec is None:
-            continue
-        dinv = modring.try_inverse(d, p)
-        targets = ((1 + dinv * b) % p, (2 + dinv * b) % p)
-        if (dec.t1 + dec.t2 + dec.t3) % p in targets:
-            return True
-    return False
+    return any((t - u * b) % p in (1, 2) for u, t in _interval_sums(a, bb, p))
 
 
 def thm6_singleton_necessary(c3: Coloring, eq: Equation) -> bool:
@@ -212,5 +205,6 @@ def thm6_singleton_necessary(c3: Coloring, eq: Equation) -> bool:
         raise NotApplicableError("requires some pair of unequal coefficients")
     if any(a == 0 for a in eq.coeffs):
         raise NotApplicableError(f"requires unit coefficients, got {eq.coeffs}")
-    singles = [next(iter(cl)) for cl in c3.color_classes() if len(cl) == 1]
+    assign = c3.assign
+    singles = [assign.index(k) for k in range(3) if assign.count(k) == 1]
     return any((s * eq.a_sum - eq.b) % p == 0 for s in singles)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
-from . import modring
 from .equation import Equation, Triple
 from .errors import BadPartitionError, ConsistencyError, ModulusMismatchError
 
@@ -82,13 +81,6 @@ class Coloring:
         """The coloring x -> c(x + k); exactness is preserved."""
         k %= self.n
         return Coloring(self.assign[k:] + self.assign[:k])
-
-    def dilate(self, d: int) -> Coloring:
-        """The coloring whose classes are d*A for each class A of this one,
-        i.e. x -> c(d^(-1) * x).  d must be a unit."""
-        dinv = modring.try_inverse(d, self.n)
-        n = self.n
-        return Coloring(tuple([self.assign[dinv * x % n] for x in range(n)]))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "colors": list(self.assign)}

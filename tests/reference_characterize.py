@@ -2,9 +2,11 @@
 
 These test all three color classes in every condition and every
 size-consistent order of the roles, dilating each class for every unit d,
-as ``rainbownum.characterize`` once did.  The package reads only the two
-smallest classes (the module docstring proves that enough); the tests
-check its verdicts against these.
+as ``rainbownum.characterize`` once did, and name thm6's singleton
+classes from the full class list.  The package reads only the two
+smallest classes, dilates only where an interval condition needs it (the
+module docstring proves that enough) and counts colors instead of
+building classes; the tests check its verdicts against these.
 """
 
 from __future__ import annotations
@@ -110,3 +112,9 @@ def thm5_rainbow_free(c3, b):
                 if sum(dec) % p in targets:
                     return True
     return False
+
+
+def thm6_singleton_necessary(c3, eq):
+    p = c3.n
+    singles = [next(iter(cl)) for cl in c3.color_classes() if len(cl) == 1]
+    return any((s * eq.a_sum - eq.b) % p == 0 for s in singles)

@@ -30,12 +30,10 @@ def is_arithmetic_progression(s, d: int, p: int) -> bool:
 
 class TestIntervalHelpers:
     def test_decomposition_of_consecutive_blocks(self):
-        dec = interval_decomposition({0}, {1, 2, 3}, 7)
-        assert (dec.t1, dec.t2, dec.t3) == (0, 1, 4)
+        assert interval_decomposition({0}, {1, 2, 3}, 7) == (0, 1, 4)
 
     def test_wrapping_interval(self):
-        dec = interval_decomposition({6, 0}, {1, 2}, 7)
-        assert (dec.t1, dec.t2, dec.t3) == (6, 1, 3)
+        assert interval_decomposition({6, 0}, {1, 2}, 7) == (6, 1, 3)
 
     def test_non_interval_returns_none(self):
         assert interval_decomposition({0, 2}, {1, 3}, 7) is None
@@ -256,11 +254,12 @@ def _seeded_3colorings(p, count, seed):
 class TestAgainstReference:
     """The package reads only the two smallest classes, ties broken by
     color; the plain reference tests all three in every size-consistent
-    order, for every c and every b."""
+    order, for every c and every b, and thm6 against the reference's
+    class list on random unequal unit coefficients."""
 
     @staticmethod
     def _colorings(p):
-        if p <= 7:
+        if p <= 7:  # every exact 3-coloring; at p = 3 all classes are singletons
             return [Coloring(a) for a in iter_exact_partitions(p, 3)]
         return _seeded_3colorings(p, 1000, seed=p)
 
@@ -283,3 +282,73 @@ class TestAgainstReference:
                 assert thm5_rainbow_free(c, b) == want, (c.assign, b)
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_thm6_verdicts(self, p):
+        rng = random.Random(600 + p)
+        verdicts = set()
+        for c in self._colorings(p):
+            for _ in range(5):
+                coeffs = [rng.randrange(1, p) for _ in range(3)]
+                if len(set(coeffs)) == 1:
+                    continue
+                eq = Equation(p, *coeffs, rng.randrange(p))
+                want = reference_characterize.thm6_singleton_necessary(c, eq)
+                assert thm6_singleton_necessary(c, eq) == want, (c.assign, eq)
+                verdicts.add(want)
+        # at p = 3 every class is a singleton and a1 + a2 + a3 is a unit
+        # whenever the coefficients differ, so some singleton always fits
+        assert verdicts == ({True} if p == 3 else {True, False})
+
+
+def _p1009_coloring(kind):
+    """One exact 3-coloring of Z_1009 per path of the characterizations:
+    {0} beside two symmetric classes; {u} beside classes symmetric after
+    dilating by u^(-1) and shifting by 2^(-1) (thm3 case 2 with c = -1),
+    in both the middle class, which the reference tests first, holding
+    about a tenth of the pairs;
+    the intervals [674, 1009), [0, 336), [336, 674), endpoint sum 1, read
+    after dilating by 10 (10^(-1) = 101, so the reference's loops over d
+    stop early); and a uniform draw."""
+    p = 1009
+    if kind == "intervals":
+        base = [0] * 336 + [1] * 338 + [2] * 335
+        return Coloring(tuple(base[10 * x % p] for x in range(p)))
+    rng = random.Random(kind)
+    if kind == "uniform":
+        while True:
+            assign = [rng.randrange(3) for _ in range(p)]
+            if len(set(assign)) == 3:
+                return Coloring(tuple(assign))
+    u = rng.randrange(2, p)
+    h = (p + 1) // 2  # 2^(-1)
+    base = [0] * p
+    for y in range(p // 2 + 1):
+        base[y] = base[-y] = 1 if rng.random() < 0.1 else 2
+    if kind == "zero":
+        base[0] = 0
+        return Coloring(tuple(base))
+    # base is read at y = x + h with x = u^(-1) z, so z = u lands on x = 1
+    base[(1 + h) % p] = 0
+    uinv = pow(u, -1, p)
+    return Coloring(tuple(base[(uinv * z + h) % p] for z in range(p)))
+
+
+class TestLargePrimeAgainstReference:
+    """At p = 1009 the singleton paths skip the dilation loop and the
+    interval search dilates only A for most units; the reference still
+    dilates all three classes for every unit."""
+
+    @pytest.mark.parametrize("kind", ["zero", "unit", "intervals", "uniform"])
+    def test_verdicts(self, kind):
+        c = _p1009_coloring(kind)
+        for cparam in (2, -1, 5):
+            want = reference_characterize.thm3_rainbow_free(c, cparam)
+            assert thm3_rainbow_free(c, cparam) == want, (kind, cparam)
+        for b in (0, 1, 5):
+            want = reference_characterize.thm5_rainbow_free(c, b)
+            assert thm5_rainbow_free(c, b) == want, (kind, b)
+        if kind == "intervals":
+            # x1 + x2 + x3 = 0 is thm5 with b = 0 and thm3 with c = -1
+            assert find_rainbow(c, Equation(1009, 1, 1, 1, 0)).rainbow_free
+            assert thm5_rainbow_free(c, 0) is thm3_rainbow_free(c, -1) is True

@@ -13,7 +13,6 @@ from rainbownum import (
     Coloring,
     Equation,
     ModulusMismatchError,
-    NonUnitError,
     NotDivisorError,
     find_rainbow,
     load_coloring,
@@ -392,24 +391,6 @@ class TestTranslateDilate:
         assert {SYM5: 1}[Coloring.from_classes(5, [{0}, {1, 4}, {2, 3}])] == 1
         assert SYM5 == Coloring(SYM5.assign)
 
-    def test_dilate_classes(self):
-        assert SYM5.dilate(2).color_classes() == [
-            frozenset({0}),
-            frozenset({2, 3}),
-            frozenset({1, 4}),
-        ]
-
-    def test_dilate_identity(self):
-        assert SYM5.dilate(1) == SYM5
-
-    def test_dilate_by_minus_one_fixes_symmetric_classes(self):
-        assert SYM5.dilate(4) == SYM5
-
-    def test_dilate_non_unit_raises(self):
-        c = Coloring.from_classes(6, [{0, 1, 2}, {3, 4, 5}])
-        with pytest.raises(NonUnitError):
-            c.dilate(2)
-
 
 class TestPaletteView:
     def test_two_power_witness_palettes(self):
@@ -504,7 +485,12 @@ class TestProjection:
         ct = Coloring.from_classes(t, [{0}, set(range(1, t))])
         base = product_coloring(symmetric_interval_coloring(5), ct, eq)
         checked = 0
-        for c in [base] + [base.dilate(d) for d in unit_pool[1:4]]:
+        # dilating by d: x -> base(d^(-1) * x)
+        dilations = [
+            Coloring(tuple(base.assign[pow(d, -1, n) * x % n] for x in range(n)))
+            for d in unit_pool[1:4]
+        ]
+        for c in [base] + dilations:
             assert find_rainbow(c, eq).rainbow_free
             for j in range(u):
                 try:
